@@ -34,12 +34,13 @@ def entry() -> Any:
     input hint (url, warc_ts, html, lang, doc_id), build the inverted
     index FROM THE HTML (fused extract+tokenize+SPIMI -> tiered merge ->
     compressed block-max segments), answer BM25 top-10 through block-max
-    WAND, self-check against TAAT, and also run the testdata bm25 query."""
+    range pruning (BMP), self-check against TAAT, and also run the
+    testdata bm25 query."""
     import pandas as pd
 
     from ee_outliers_ray.corpus import generate_pages
     from ee_outliers_ray.index.build import build_index
-    from ee_outliers_ray.query.engine import BlockMaxWand, taat_topk
+    from ee_outliers_ray.query.engine import BlockMaxPruning, taat_topk
     from ee_outliers_ray.query.reader import IndexReader
 
     pages_dir = "/tmp/eor_entry_pages"
@@ -47,10 +48,10 @@ def entry() -> Any:
     generate_pages(pages_dir, total_rows=2000, num_files=4, seed=42)
     build_index(pages_dir, index_dir, num_buckets=8, batch_size=512)
     reader = IndexReader(index_dir)
-    wand = BlockMaxWand(reader)
+    bmp = BlockMaxPruning(reader)
     rows = []
     for q in ("the data web", "search engine crawl", "w0042 w0100"):
-        res = wand.topk(q, k=10)
+        res = bmp.topk(q, k=10)
         assert res == taat_topk(reader, q, k=10)
         rows += [{"query": q, "doc_id": d, "score": round(s, 6)}
                  for d, s in res]

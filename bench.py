@@ -8,7 +8,7 @@ Default mode: one JSON line with the headline numbers —
 Headline pipeline: build the inverted index over a deterministic
 synthetic pages corpus ($GRAFT_BENCH_DOCS docs, generation + page-cache
 warm-up untimed), then answer $GRAFT_BENCH_QUERIES BM25 top-10 queries
-through the block-max WAND actor pool.  Also times a representative set
+through the TAAT actor pool.  Also times a representative set
 of the `queries()` pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1).
 

@@ -15,7 +15,7 @@ Architecture (Ray-Data-first, see SURVEY.md):
              two-level (term-bucket x doc-range) groupby shuffle into
              delta-encoded bit-packed block-max posting segments with
              per-partition manifests (resumable).
-- query:     exact TAAT BM25 oracle + block-max WAND top-k engine;
+- query:     exact TAAT BM25 oracle + block-max pruning top-k engine;
              query-string parsing (reference ``app/helpers/es.py:238-270``).
 - models:    terms / metrics / simplequery / sudden_appearance analyzer
              pipelines re-expressed as Ray Data plans (reference

@@ -241,7 +241,7 @@ def main(argv=None) -> int:
                     help="parquet file with a doc_id column (delete)")
     ix.add_argument("--query", help="query string (query)")
     ix.add_argument("-k", type=int, default=10)
-    ix.add_argument("--engine", choices=["wand", "taat"], default="wand")
+    ix.add_argument("--engine", choices=["bmp", "taat"], default="bmp")
     ix.add_argument("--min-match", type=int, default=None,
                     help="minimum_should_match OR query over the query's "
                          "terms (ignores --engine; results include "
@@ -320,7 +320,8 @@ def _index_cli(args) -> int:
 
             out = compact_index(args.index)
         else:  # query
-            from .query.engine import BlockMaxWand, min_match_topk, taat_topk
+            from .query.engine import (BlockMaxPruning, min_match_topk,
+                                        taat_topk)
             from .query.reader import IndexReader
             from .tokenizer import tokenize
 
@@ -335,8 +336,8 @@ def _index_cli(args) -> int:
                                     "score": float(si)}
                                    for di, m, si in zip(d, nm, s)]}
             else:
-                res = (BlockMaxWand(reader).topk(args.query, args.k)
-                       if args.engine == "wand"
+                res = (BlockMaxPruning(reader).topk(args.query, args.k)
+                       if args.engine == "bmp"
                        else taat_topk(reader, args.query, args.k))
                 out = {"query": args.query, "k": args.k,
                        "engine": args.engine,

@@ -1,4 +1,4 @@
-"""Deterministic synthetic Common-Crawl-style ``pages`` corpus + ingest.
+"""Deterministic synthetic Common-Crawl-style ``pages`` corpus.
 
 Schema (BASELINE.json input_hint / FIXTURES.md §1):
 
@@ -119,9 +119,3 @@ def generate_pages(out_dir: str, total_rows: int, num_files: int = 8,
     ]
     return sorted(ray.get(refs))
 
-
-def read_pages(pages_dir: str, columns: list[str] | None = None) -> "ray.data.Dataset":
-    """Read the corpus with column pruning at the read (SURVEY §2.1 S1)."""
-    import ray.data
-
-    return ray.data.read_parquet(pages_dir, columns=columns)

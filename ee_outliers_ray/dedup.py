@@ -240,27 +240,6 @@ def _jaccard_packed(ia: np.ndarray, ib: np.ndarray, uids: np.ndarray,
     return out
 
 
-def jaccard_pairs_batch(ia: np.ndarray, ib: np.ndarray,
-                        sets: dict) -> np.ndarray:
-    """Dict-of-arrays front end for ``_jaccard_packed`` (tests and
-    driver-side callers); the distributed verify stage feeds the packed
-    layout straight from ``ShardedStore.get_array_segments``."""
-    n_pairs = len(ia)
-    if n_pairs == 0:
-        return np.zeros(0, dtype=np.float64)
-    uids = np.unique(np.concatenate([ia, ib]))
-    arrs = [sets.get(int(u)) for u in uids]
-    present = np.fromiter((a is not None for a in arrs), dtype=bool,
-                          count=len(arrs))
-    lens = np.fromiter((0 if a is None else len(a) for a in arrs),
-                       dtype=np.int64, count=len(arrs))
-    off = np.zeros(len(uids) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    flat = (np.concatenate([a for a in arrs if a is not None and len(a)])
-            if off[-1] else np.zeros(0, dtype=np.uint64))
-    return _jaccard_packed(ia, ib, uids, flat, off, present)
-
-
 def _jaccard_verify_fn(store, threshold: float):
     """Shared verify stage for the minhash + ngram near-dup paths: fetch
     both sides' shingle sets PACKED from the sharded store (one buffer

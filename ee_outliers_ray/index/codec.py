@@ -20,7 +20,7 @@ metadata is tiny next to payloads and parquet compresses it):
                      the last block of a run is short; after run
                      concatenation interior short blocks may occur and the
                      decoder handles them)
-    block_last_doc : last doc_id (skip pointer for WAND)
+    block_last_doc : last doc_id (skip pointer for block-max pruning)
     block_first_doc: first doc_id (frame of reference)
     block_max_tf   : max tf in block   } together these give a valid
     block_min_dl   : min doc length    } upper bound on the BM25 term
@@ -280,7 +280,7 @@ def merge_runs(runs: list[EncodedRun]) -> EncodedRun:
     otherwise decode, doc-sort, re-encode — the interleaved-range case a
     part-split merge can leave when input batches straddle files.  The
     re-encode reuses each source block's min_dl for its postings: a lower
-    bound of the true dls, so WAND block upper bounds stay valid (exact
+    bound of the true dls, so block-max upper bounds stay valid (exact
     scores always come from the doclens sidecar, not this metadata)."""
     if runs_chainable(runs):
         return concat_runs(runs)

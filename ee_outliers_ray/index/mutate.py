@@ -32,7 +32,7 @@ Scale notes: tombstones ship to compaction tasks as one ``ray.put``
 broadcast (sorted int64 ids; a delete batch is small-side by definition);
 per-task input is one runs file (the same partition unit the merge uses),
 and re-encode reuses each source block's min_dl expanded per posting — a
-documented lower bound (codec.merge_runs), valid for WAND block upper
+documented lower bound (codec.merge_runs), valid for block-max upper
 bounds, while exact scoring always reads the doclens sidecar.
 """
 

@@ -161,13 +161,13 @@ def documents_index(sf_dir: str) -> str:
 
 
 def bm25_topk(sf_dir: str, query: str = "spark merge batch", k: int = 10):
-    """BM25 top-k via the real index + WAND engine; scores rounded for the
+    """BM25 top-k via the real index + BMP engine; scores rounded for the
     cross-engine hash compare."""
-    from .query.engine import BlockMaxWand, taat_topk
+    from .query.engine import BlockMaxPruning, taat_topk
     from .query.reader import IndexReader
 
     reader = IndexReader(documents_index(sf_dir))
-    res = BlockMaxWand(reader).topk(query, k=k)
+    res = BlockMaxPruning(reader).topk(query, k=k)
     assert res == taat_topk(reader, query, k=k)  # engine self-check
     return pd.DataFrame({
         "doc_id": [d for d, _ in res],
@@ -182,7 +182,7 @@ def bm25_topk_parts(sf_dir: str, query: str = "spark merge batch",
     across parts): the part-split merge plus the reader's
     interleaved-parts merge fallback are driver-checked against the same
     SQL BM25 truth as bm25_topk."""
-    from .query.engine import BlockMaxWand, taat_topk
+    from .query.engine import BlockMaxPruning, taat_topk
     from .query.reader import IndexReader
 
     key = hashlib.sha1((sf_dir + "#parts").encode()).hexdigest()[:12]
@@ -191,7 +191,7 @@ def bm25_topk_parts(sf_dir: str, query: str = "spark merge batch",
                 num_buckets=8, doc_range_size=64, batch_size=128,
                 merge_parts=3)
     reader = IndexReader(index_dir)
-    res = BlockMaxWand(reader).topk(query, k=k)
+    res = BlockMaxPruning(reader).topk(query, k=k)
     assert res == taat_topk(reader, query, k=k)  # engine self-check
     return pd.DataFrame({
         "doc_id": [d for d, _ in res],
@@ -209,7 +209,7 @@ def bm25_topk_deletes(sf_dir: str, query: str = "spark merge batch",
     import pyarrow.parquet as pq
 
     from .index.mutate import compact_index, delete_from_index
-    from .query.engine import BlockMaxWand, taat_topk
+    from .query.engine import BlockMaxPruning, taat_topk
     from .query.reader import IndexReader
 
     key = hashlib.sha1((sf_dir + "#deletes").encode()).hexdigest()[:12]
@@ -223,14 +223,14 @@ def bm25_topk_deletes(sf_dir: str, query: str = "spark merge batch",
             .to_numpy(zero_copy_only=False)
         delete_from_index(index_dir, ids[ids % 7 == 3])
     reader = IndexReader(index_dir)
-    res = BlockMaxWand(reader).topk(query, k=k)
+    res = BlockMaxPruning(reader).topk(query, k=k)
     assert res == taat_topk(reader, query, k=k)  # engine self-check
     if not os.path.exists(done):
         # compaction self-check: physical removal preserves every score
         compact_index(index_dir)
         r2 = IndexReader(index_dir)
         assert r2.deleted is None
-        assert BlockMaxWand(r2).topk(query, k=k) == res
+        assert BlockMaxPruning(r2).topk(query, k=k) == res
         open(done, "w").close()
     return pd.DataFrame({
         "doc_id": [d for d, _ in res],

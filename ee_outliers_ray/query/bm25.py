@@ -1,6 +1,6 @@
 """Okapi BM25 scoring (k1=1.2, b=0.75) — the single scoring definition
-shared by the TAAT oracle, the block-max WAND engine, and mirrored in the
-DuckDB oracle SQL (__ray_entry__.oracle_sql).
+shared by the TAAT oracle, the block-max pruning engine, and mirrored in
+the DuckDB oracle SQL (__ray_entry__.oracle_sql).
 
 idf  = ln(1 + (N - df + 0.5) / (df + 0.5))                # Lucene-style, >= 0
 w    = idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))

@@ -5,15 +5,10 @@ accumulation in ascending term order; ties score-desc/doc_id-asc), so they
 return **identical** (doc_id, score) lists:
 
 - ``taat_topk``: exact term-at-a-time vectorized scoring (numpy dense
-  accumulator) — the obviously-correct baseline and the fast path at
-  sandbox scale.
-- ``BlockMaxWand``: document-at-a-time block-max WAND — skips blocks whose
-  score upper bounds cannot enter the top-k heap; the 10^12-doc scale path
-  (accumulator-free, postings decoded block-wise on demand).
+  accumulator) — the obviously-correct reference and the serving path.
 - ``BlockMaxPruning``: vectorized range-at-a-time pruning (BMP) — the
-  skip path without a per-document Python loop; projects block maxima
-  onto fixed doc ranges and scores only ranges whose bound can still
-  enter the heap.
+  skip path; projects block maxima onto fixed doc ranges and scores only
+  ranges whose bound can still enter the heap.
 
 Replaces the reference's delegation of ``query_string`` scoring to
 Elasticsearch/Lucene (/root/reference/app/helpers/es.py:238-250).
@@ -27,7 +22,6 @@ import numpy as np
 
 from ..tokenizer import tokenize
 from .bm25 import block_upper_bound, idf, term_weight, topk_from_scores
-from .codec_cursor import TermCursor
 from .reader import IndexReader
 
 
@@ -44,22 +38,19 @@ class TaatSearcher:
     entries are reset between queries.  Scale note: a dense accumulator is
     bounded by the doc-partition size — at 10^12 docs the corpus is doc-
     sharded and each shard's searcher accumulates over its own range, with
-    a top-k heap merge across shards; BlockMaxWand is the accumulator-free
-    skip path.
+    a top-k heap merge across shards; BlockMaxPruning is the skip path.
+
+    The sharded service injects GLOBAL N / avgdl / df through
+    ``set_global_stats`` / ``add_dfs``: postings are shard-local, but
+    per-shard scores must be directly mergeable and identical to a
+    single-index run.
     """
 
-    def __init__(self, reader: IndexReader, *, n_docs: int | None = None,
-                 avgdl: float | None = None,
-                 df_lookup: dict[str, int] | None = None):
-        """``n_docs``/``avgdl``/``df_lookup`` override the reader's own
-        corpus stats — used by the sharded service, where postings are
-        shard-local but scoring MUST use the GLOBAL N / avgdl / df so
-        per-shard scores are directly mergeable and identical to a
-        single-index run."""
+    def __init__(self, reader: IndexReader):
         self.reader = reader
-        self.n_docs = n_docs if n_docs is not None else reader.n_docs
-        self.avgdl = avgdl if avgdl is not None else reader.avgdl
-        self.df_lookup = df_lookup or {}
+        self.n_docs = reader.n_docs
+        self.avgdl = reader.avgdl
+        self.df_lookup: dict[str, int] = {}
         self._acc = np.zeros(len(reader.doclens), dtype=np.float64)
         self._touched = np.zeros(len(reader.doclens), dtype=bool)
         # per-term BM25 weight vectors are query-independent (idf, dl,
@@ -202,17 +193,17 @@ def taat_topk(reader: IndexReader, query: str, k: int = 10
 class BlockMaxPruning:
     """Vectorized range-at-a-time block-max pruning (BMP) top-k.
 
-    The scale-path counterpart to ``BlockMaxWand`` with NO per-document
-    Python loop: per-term, per-block BM25 upper bounds are projected onto
-    fixed-width doc-id ranges with two ``searchsorted`` passes and one
-    ``maximum.reduceat`` (no posting decode); ranges are visited in
-    descending aggregate-bound order and each visited range is scored with
-    the same float64 ascending-term-order numpy kernel as ``TaatSearcher``,
-    so (doc_id, score) results are bit-identical to TAAT and WAND
-    (pytest-gated).  Visiting stops at the first range whose bound is
-    STRICTLY below the current kth score: ``<=`` would be unsafe under the
-    (score desc, doc_id asc) tie rule, because an unvisited doc tying the
-    kth score with a smaller doc_id would still deserve the slot.
+    The skip path, with NO per-document Python loop: per-term, per-block
+    BM25 upper bounds are projected onto fixed-width doc-id ranges with
+    two ``searchsorted`` passes and one ``maximum.reduceat`` (no posting
+    decode); ranges are visited in descending aggregate-bound order and
+    each visited range is scored with the same float64 ascending-term-
+    order numpy kernel as ``TaatSearcher``, so (doc_id, score) results
+    are bit-identical to TAAT (pytest-gated).  Visiting stops at the
+    first range whose bound is STRICTLY below the current kth score:
+    ``<=`` would be unsafe under the (score desc, doc_id asc) tie rule,
+    because an unvisited doc tying the kth score with a smaller doc_id
+    would still deserve the slot.
 
     Dense terms (>= one posting per DENSE_DIVISOR docs) skip the
     per-block loop entirely: one cached full decode + precomputed
@@ -399,97 +390,6 @@ class BlockMaxPruning:
         return [(-d, s) for s, d in out]
 
 
-def bmp_topk(reader: IndexReader, query: str, k: int = 10,
-             range_width: int = 4096) -> list[tuple[int, float]]:
-    return BlockMaxPruning(reader, range_width).topk(query, k)
-
-
-class BlockMaxWand:
-    """Block-max WAND evaluator bound to one IndexReader."""
-
-    def __init__(self, reader: IndexReader):
-        self.reader = reader
-
-    def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        r = self.reader
-        terms = _query_terms(query)
-        cursors: list[TermCursor] = []
-        for t in terms:
-            run = r.postings(t)
-            if run is None:
-                continue
-            idf_val = idf(r.n_docs, run.n_postings)
-            ub = float(block_upper_bound(idf_val, run.block_max_tf,
-                                         run.block_min_dl, r.avgdl).max())
-            cursors.append(TermCursor(run, idf_val, ub))
-        if not cursors:
-            return []
-        # heap of (score, -doc_id): min element = weakest (lowest score,
-        # then largest doc_id) — matches the (score desc, doc_id asc) order
-        heap: list[tuple[float, int]] = []
-        theta = -np.inf
-
-        while True:
-            live = [c for c in cursors if not c.exhausted]
-            if not live:
-                break
-            live.sort(key=lambda c: c.doc())
-            # pivot: smallest prefix whose summed upper bounds can beat theta
-            ub_sum = 0.0
-            pivot_idx = -1
-            for i, c in enumerate(live):
-                ub_sum += c.ub
-                if len(heap) < k or ub_sum > theta:
-                    pivot_idx = i
-                    break
-            if pivot_idx < 0:
-                break  # no prefix can beat theta -> done
-            pivot_doc = live[pivot_idx].doc()
-            # extend the pivot over cursors tied at pivot_doc so their
-            # bounds count and the skip target stays safe (BMW candidate
-            # selection, Ding & Suel)
-            while pivot_idx + 1 < len(live) and live[pivot_idx + 1].doc() == pivot_doc:
-                pivot_idx += 1
-            if live[0].doc() == pivot_doc:
-                # block-max check: refine with per-block bounds at pivot_doc
-                bub = 0.0
-                for c in live[: pivot_idx + 1]:
-                    bub += c.block_ub(pivot_doc, r.avgdl)
-                if len(heap) >= k and bub <= theta:
-                    # safe skip target: smallest current-block end among the
-                    # pivot prefix, clamped below the next cursor's doc —
-                    # documents in (pivot_doc, target) can only contain
-                    # prefix terms, whose block bounds cannot beat theta
-                    boundary = min(c.block_end(pivot_doc) for c in live[: pivot_idx + 1])
-                    target = boundary + 1
-                    if pivot_idx + 1 < len(live):
-                        target = min(target, live[pivot_idx + 1].doc())
-                    for c in live[: pivot_idx + 1]:
-                        c.next_geq(target)
-                    continue
-                # full evaluation, ascending-term order (= cursors order)
-                score = 0.0
-                for c in cursors:
-                    if not c.exhausted and c.doc() == pivot_doc:
-                        score += c.score(r.doclens[pivot_doc], r.avgdl)
-                for c in live:
-                    if c.doc() == pivot_doc:
-                        c.next_geq(pivot_doc + 1)
-                if len(heap) < k:
-                    heapq.heappush(heap, (score, -pivot_doc))
-                    if len(heap) == k:
-                        theta = heap[0][0]
-                elif (score, -pivot_doc) > heap[0]:
-                    heapq.heapreplace(heap, (score, -pivot_doc))
-                    theta = heap[0][0]
-            else:
-                # advance all pre-pivot cursors to the pivot document
-                for c in live[:pivot_idx]:
-                    c.next_geq(pivot_doc)
-        out = sorted(heap, key=lambda x: (-x[0], -x[1]))
-        return [(-d, s) for s, d in out]
-
-
 def _run_members(run, cand: np.ndarray) -> np.ndarray:
     """Boolean membership of ascending candidate doc_ids in a posting
     run, decoding ONLY the blocks a candidate could land in (block-skip
@@ -525,7 +425,7 @@ def intersect_terms(reader: IndexReader, terms) -> np.ndarray:
     candidate block instead of a full decode.
 
     Reads through ``reader.postings`` so tombstone filtering applies
-    (same filtered runs TAAT/WAND see).  Returns ascending doc_ids."""
+    (same filtered runs TAAT/BMP see).  Returns ascending doc_ids."""
     from ..index.codec import decode_block
 
     runs = []
@@ -562,7 +462,7 @@ def min_match_topk(reader: IndexReader, terms, min_match: int, k: int = 10
     238-250): candidates are docs matching at least ``min_match``
     DISTINCT query terms; each candidate scores the BM25 sum over its
     matched terms with the same per-term weights and the same
-    ascending-term float64 accumulation order as TAAT/WAND; ties
+    ascending-term float64 accumulation order as TAAT/BMP; ties
     (score desc, doc_id asc).  ``min_match=1`` is a pure OR query;
     ``min_match=len(terms)`` selects exactly the AND set
     (``intersect_terms``), BM25-ranked.

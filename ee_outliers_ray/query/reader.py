@@ -102,9 +102,9 @@ class IndexReader:
     def _filter_tombstoned(self, run: EncodedRun) -> EncodedRun | None:
         """Re-encode a run without tombstoned postings (exact dls from
         the doclens sidecar, so block metadata stays tight).  Cached by
-        ``postings``, so the cost is once per term per reader; WAND
-        cursors, df() and TAAT all see the filtered run, keeping the
-        three paths bit-identical under deletes."""
+        ``postings``, so the cost is once per term per reader; BMP's
+        block bounds, df() and TAAT all see the filtered run, keeping
+        the paths bit-identical under deletes."""
         from ..index.codec import decode_run, encode_postings
 
         doc_ids, tfs = decode_run(run)

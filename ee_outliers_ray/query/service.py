@@ -1,6 +1,6 @@
 """Query service: a pool of Ray actors each holding an IndexReader
 (segments + doclens + stats loaded once per actor), answering BM25 top-k
-with block-max WAND.  This is the serving-path analogue of the
+with TAAT (or BMP range pruning).  This is the serving-path analogue of the
 reference's delegation of query evaluation to the ES cluster
 (/root/reference/app/helpers/es.py:110-141) — scatter queries over the
 pool, each actor evaluates independently against shared index storage."""
@@ -15,19 +15,17 @@ class QueryActor:
     """mode="taat": vectorized scorer with request/weight caches;
     mode="bmp": vectorized block-max range pruning (the 10^12-doc skip
     path — never decodes postings outside visited ranges, dense terms
-    take the cached full-decode path); mode="wand": per-doc block-max
-    WAND, the accumulator-free reference.  All three are rank- AND
+    take the cached full-decode path).  Both are rank- AND
     score-identical (pytest-verified)."""
 
     def __init__(self, index_dir: str, mode: str = "taat",
                  result_cache: bool = True):
-        from .engine import BlockMaxPruning, BlockMaxWand, TaatSearcher
+        from .engine import BlockMaxPruning, TaatSearcher
         from .reader import IndexReader
 
         self.reader = IndexReader(index_dir)
         self.engine = {"taat": TaatSearcher,
-                       "bmp": BlockMaxPruning,
-                       "wand": BlockMaxWand}[mode](self.reader)
+                       "bmp": BlockMaxPruning}[mode](self.reader)
         if mode == "taat" and not result_cache:
             self.engine.result_cache_size = 0
 
@@ -40,7 +38,7 @@ class QueryActor:
     def min_match_batch(self, requests: list, k: int = 10) -> list:
         """Serve minimum_should_match OR queries: ``requests`` is a list
         of (terms, min_match).  TAAT mode goes through the searcher's
-        per-term weight cache; bmp/wand actors fall back to the
+        per-term weight cache; bmp actors fall back to the
         standalone reader path (identical results by the shared union
         kernel)."""
         from .engine import min_match_topk as _mm

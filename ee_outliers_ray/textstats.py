@@ -863,6 +863,9 @@ def _gram_partial(toks, n: int, use_int_keys: bool | None = None
     string and is the fallback when |dict|**n would overflow the int64
     key space.  ``use_int_keys=None`` auto-selects."""
     off = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    # a sliced ListArray keeps its parent's offsets while flatten()
+    # returns only the slice's values: rebase so boundaries line up
+    off = off - off[0]
     flat = toks.flatten()
     L = len(flat)
     if L < n:

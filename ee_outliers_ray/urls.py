@@ -16,7 +16,11 @@ port; drop utm_* tracking params (mid and trailing forms); strip one
 trailing path slash (also before a query string) unless it is the root
 slash.  Deliberately NOT done: query-param reordering and IDN/percent
 normalization — documented divergence, same stance as byte-level
-levenshtein.
+levenshtein.  Same class of caveat: the three ``$``-anchored
+CANON_STEPS match just before a trailing newline in Python ``re`` but
+only at the very end in RE2 (DuckDB), so a url ending in a newline can
+canonicalize differently in the two engines; urls are expected to be
+newline-free.  The fragment rule is unanchored (``#.*``) and agrees.
 
 Scale: canonicalize is a stateless vectorized ``map_batches`` stage.
 ``url_host_stats`` pre-aggregates each batch to (host, url, n) partial
@@ -41,7 +45,7 @@ import pyarrow as pa
 # (pattern, replacement) applied in order AFTER the fragment strip and
 # BEFORE/AFTER the lowercase step as documented below.  Kept RE2-safe
 # (no lookaround) so DuckDB runs the identical rules.
-FRAGMENT_PAT = r"#.*$"
+FRAGMENT_PAT = r"#.*"
 AUTHORITY_PAT = r"^[^/?#]*//[^/?#]*"
 CANON_STEPS: tuple[tuple[str, str], ...] = (
     (r":80(/|\?|$)", r"\1"),                # default port

@@ -1,4 +1,4 @@
-"""WAND vs TAAT exactness on the (large) bench index when present —
+"""BMP vs TAAT exactness on the (large) bench index when present —
 multi-thousand-block posting lists, mid- and low-frequency query mix.
 Skipped when the bench artifacts don't exist (created by bench.py)."""
 
@@ -12,20 +12,20 @@ pytestmark = pytest.mark.skipif(
     not os.path.exists(os.path.join(BENCH_INDEX, "stats.json")),
     reason="bench index not built (run bench.py first)")
 
-# mid/low-frequency terms: exercises multi-block skipping without the
-# minutes-long pure-Python DAAT walk a stopword query would cost
-QUERIES = ["w0042 w0100", "w0007 w1500 w0333", "w1899"]
+# mid/low-frequency terms exercise multi-block skipping on the block
+# path; the stopword pair takes the dense-term path
+QUERIES = ["w0042 w0100", "w0007 w1500 w0333", "w1899", "the data"]
 
 
-def test_wand_matches_taat_on_bench_index():
-    from ee_outliers_ray.query.engine import BlockMaxWand, TaatSearcher
+def test_bmp_matches_taat_on_bench_index():
+    from ee_outliers_ray.query.engine import BlockMaxPruning, TaatSearcher
     from ee_outliers_ray.query.reader import IndexReader
 
     reader = IndexReader(BENCH_INDEX)
     taat = TaatSearcher(reader)
-    wand = BlockMaxWand(reader)
+    bmp = BlockMaxPruning(reader)
     assert reader.n_docs == 2_000_000
     for q in QUERIES:
         t = taat.topk(q, k=10)
-        w = wand.topk(q, k=10)
-        assert w == t, q  # bit-identical at 2M docs
+        b = bmp.topk(q, k=10)
+        assert b == t, q  # bit-identical at 2M docs

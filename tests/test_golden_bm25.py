@@ -19,18 +19,14 @@ QUERIES = ["spark merge batch", "table scan", "key value", "the",
 
 def _compute():
     from ee_outliers_ray.pipelines import documents_index
-    from ee_outliers_ray.query.engine import (BlockMaxPruning, BlockMaxWand,
-                                              taat_topk)
+    from ee_outliers_ray.query.engine import BlockMaxPruning, taat_topk
     from ee_outliers_ray.query.reader import IndexReader
 
     reader = IndexReader(documents_index("/root/testdata/sf0.001"))
-    wand = BlockMaxWand(reader)
     bmp = BlockMaxPruning(reader, range_width=512)
     out = {}
     for q in QUERIES:
         t = taat_topk(reader, q, k=10)
-        w = wand.topk(q, k=10)
-        assert t == w, f"engines disagree on {q!r}"
         assert t == bmp.topk(q, k=10), f"BMP disagrees on {q!r}"
         out[q] = [[d, round(s, 6)] for d, s in t]
     return out

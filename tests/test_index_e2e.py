@@ -13,7 +13,7 @@ import pytest
 
 from ee_outliers_ray.corpus import generate_pages
 from ee_outliers_ray.index.build import build_index
-from ee_outliers_ray.query.engine import BlockMaxWand, taat_topk
+from ee_outliers_ray.query.engine import taat_topk
 from ee_outliers_ray.query.reader import IndexReader
 
 K1, B = 1.2, 0.75
@@ -110,18 +110,6 @@ def test_taat_matches_oracle(reader, oracle_docs, query):
     assert [d for d, _ in got] == [d for d, _ in want]
     for (gd, gs), (wd, ws) in zip(got, want):
         assert gs == pytest.approx(ws, rel=1e-12), (gd, query)
-
-
-@pytest.mark.parametrize("query", QUERIES)
-def test_wand_matches_taat_exactly(reader, query):
-    taat = taat_topk(reader, query, k=10)
-    wand = BlockMaxWand(reader).topk(query, k=10)
-    assert wand == taat  # rank- AND score-identical (bit-for-bit)
-
-
-def test_wand_k1(reader):
-    assert BlockMaxWand(reader).topk("data search", k=1) == \
-        taat_topk(reader, "data search", k=1)
 
 
 @pytest.mark.parametrize("query", QUERIES)
@@ -239,7 +227,7 @@ def test_intersect_terms_matches_full_decode(reader, oracle_docs, terms):
 
 def test_intersect_terms_under_tombstones(corpus_dir, index_dir, tmp_path):
     """Intersection sees tombstone-filtered runs (same contract as
-    TAAT/WAND)."""
+    TAAT/BMP)."""
     import shutil as _sh
 
     from ee_outliers_ray.index.mutate import delete_from_index

@@ -16,7 +16,7 @@ from ee_outliers_ray.corpus import generate_pages
 from ee_outliers_ray.index.build import build_index
 from ee_outliers_ray.index.mutate import (compact_index, delete_from_index,
                                           load_tombstones, upsert_to_index)
-from ee_outliers_ray.query.engine import BlockMaxWand, taat_topk
+from ee_outliers_ray.query.engine import BlockMaxPruning, taat_topk
 from ee_outliers_ray.query.reader import IndexReader
 
 QUERIES = ["the data", "w0042", "search engine crawl", "fast merge",
@@ -59,8 +59,6 @@ def test_delete_rank_identical_to_rebuild(corpus, tmp_path):
     for q in QUERIES:
         want = taat_topk(r_ref, q, 10)
         assert taat_topk(r_del, q, 10) == want, q
-        assert BlockMaxWand(r_del).topk(q, 10) == want, q
-        from ee_outliers_ray.query.engine import BlockMaxPruning
         assert BlockMaxPruning(r_del, range_width=128).topk(q, 10) == want, q
     # df adjusts to the filtered postings count
     assert r_del.df("the") == r_ref.df("the")
@@ -97,7 +95,7 @@ def test_compaction_preserves_results_and_drops_tombstones(corpus, tmp_path):
     assert r.n_docs == 600 - len(drop)
     for q in QUERIES:
         assert taat_topk(r, q, 10) == before[q], q
-        assert BlockMaxWand(r).topk(q, 10) == before[q], q
+        assert BlockMaxPruning(r, range_width=64).topk(q, 10) == before[q], q
     # compaction is idempotent
     assert compact_index(idx)["n_compacted"] == 0
 

@@ -87,18 +87,18 @@ def test_merge_parts_bit_identical_and_resumable(corpus, tmp_path):
     part_files = glob.glob(os.path.join(d3, "segments", "bucket=1",
                                         "part-*.parquet"))
     assert len(part_files) > 1  # the merge really split
-    from ee_outliers_ray.query.engine import BlockMaxWand
+    from ee_outliers_ray.query.engine import BlockMaxPruning
 
     r1, r3 = IndexReader(d1), IndexReader(d3)
-    w3 = BlockMaxWand(r3)
+    b3 = BlockMaxPruning(r3, range_width=64)
     for q in ["the data", "w0042", "search engine crawl", "the w0100",
               "absentterm77"]:
         a = taat_topk(r1, q, 10)
         assert taat_topk(r3, q, 10) == a, q
-        # WAND needs doc-sorted merged runs: exercises the reader's
-        # interleaved-parts merge fallback (batches straddling files
-        # produce overlapping run intervals across part files)
-        assert w3.topk(q, 10) == a, ("wand", q)
+        # BMP's block bounds need doc-sorted merged runs: exercises the
+        # reader's interleaved-parts merge fallback (batches straddling
+        # files produce overlapping run intervals across part files)
+        assert b3.topk(q, 10) == a, ("bmp", q)
 
     # resume: kill one PART file; rebuild redoes only that (bucket, part)
     victim = sorted(part_files)[0]

@@ -64,16 +64,19 @@ def test_ngram_unigram_equals_word_counts(ray_session):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_partial_paths_pinned_equal(n):
     """The int-key fast path and the string path must return identical
-    (gram, count) tables — both forced explicitly on the same batch."""
+    (gram, count) tables — both forced explicitly on the same batch.
+    The sliced batch keeps its parent's offsets (non-zero first offset):
+    windows must still stop at its doc boundaries."""
     from ee_outliers_ray.textstats import _gram_partial
     from ee_outliers_ray.tokenizer import tokenize_column
 
-    toks = tokenize_column(pa.chunked_array([pa.array(TEXTS)]).combine_chunks())
-    wi, ci = _gram_partial(toks, n, use_int_keys=True)
-    ws, cs = _gram_partial(toks, n, use_int_keys=False)
-    assert wi.tolist() == ws.tolist()
-    assert ci.tolist() == cs.tolist()
-    assert dict(zip(wi.tolist(), ci.tolist())) == _ref(TEXTS, n)
+    full = tokenize_column(pa.chunked_array([pa.array(TEXTS)]).combine_chunks())
+    for toks, texts in ((full, TEXTS), (full.slice(3), TEXTS[3:])):
+        wi, ci = _gram_partial(toks, n, use_int_keys=True)
+        ws, cs = _gram_partial(toks, n, use_int_keys=False)
+        assert wi.tolist() == ws.tolist()
+        assert ci.tolist() == cs.tolist()
+        assert dict(zip(wi.tolist(), ci.tolist())) == _ref(texts, n)
 
 
 def test_ngram_min_count_and_guard(ray_session):

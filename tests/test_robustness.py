@@ -8,7 +8,7 @@ import pytest
 import ray.data
 
 from ee_outliers_ray.index.build import build_index
-from ee_outliers_ray.query.engine import BlockMaxWand, taat_topk
+from ee_outliers_ray.query.engine import BlockMaxPruning, taat_topk
 from ee_outliers_ray.query.reader import IndexReader
 from ee_outliers_ray.tokenizer import tokenize_column
 
@@ -33,7 +33,8 @@ def test_build_with_empty_and_null_text(tmp_path):
     assert r.df("alpha") == 2
     res = taat_topk(r, "alpha", 5)
     assert [d for d, _ in res] == [5, 0]  # doc 5 shorter -> higher score
-    assert BlockMaxWand(r).topk("alpha", 5) == res
+    # width 2 splits the 6 docs over 3 ranges, so ranges get skipped
+    assert BlockMaxPruning(r, range_width=2).topk("alpha", 5) == res
 
 
 def test_single_doc_corpus(tmp_path):
@@ -57,7 +58,7 @@ def test_query_absent_and_empty(tmp_path):
     r = IndexReader(idx)
     assert taat_topk(r, "", 5) == []
     assert taat_topk(r, "notthere", 5) == []
-    assert BlockMaxWand(r).topk("...", 5) == []
+    assert BlockMaxPruning(r, range_width=64).topk("...", 5) == []
 
 
 def test_models_on_empty_dataset():

@@ -58,15 +58,15 @@ def test_topk_many_equals_per_query(setup):
 
 
 def test_query_pool_modes_identical(setup):
-    """The QueryActor pool surface serves identical results in all
-    three engine modes (taat / bmp / wand)."""
+    """The QueryActor pool surface serves identical results in both
+    engine modes (taat / bmp)."""
     import ray
 
     from ee_outliers_ray.query.service import query_pool, run_queries
 
     single, _ = setup
     want = None
-    for mode in ("taat", "bmp", "wand"):
+    for mode in ("taat", "bmp"):
         pool = query_pool(single, n_actors=2, mode=mode)
         got = run_queries(pool, QUERIES[:-1], k=10)
         if want is None:
@@ -75,6 +75,32 @@ def test_query_pool_modes_identical(setup):
             assert got == want, mode
         for a in pool:
             ray.kill(a)
+
+
+def test_query_actor_min_match_batch(setup):
+    """QueryActor.min_match_batch in both modes == engine.min_match_topk:
+    taat serves through the searcher's weight cache, bmp through the
+    standalone reader path."""
+    import ray
+
+    from ee_outliers_ray.query.engine import min_match_topk
+    from ee_outliers_ray.query.service import query_pool
+
+    single, _ = setup
+    reader = IndexReader(single)
+    requests = [(("the", "data", "crawl", "w0042"), 1),
+                (("the", "data", "crawl", "w0042"), 3),
+                (("the", "data"), 2),
+                (("absent_term", "the"), 2)]
+    want = []
+    for terms, m in requests:
+        d, nm, s = min_match_topk(reader, terms, m, k=10)
+        want.append(list(zip(d.tolist(), nm.tolist(), s.tolist())))
+    for mode in ("taat", "bmp"):
+        (actor,) = query_pool(single, n_actors=1, mode=mode)
+        got = ray.get(actor.min_match_batch.remote(requests, k=10))
+        assert got == want, mode
+        ray.kill(actor)
 
 
 def test_sharded_min_match_identical_to_single(setup):

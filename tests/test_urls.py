@@ -40,6 +40,22 @@ def test_canonicalize_rules(raw, want):
     assert canonicalize(np.array([raw], dtype=object)).tolist() == [want]
 
 
+def test_fragment_pat_pandas_equals_duckdb():
+    """FRAGMENT_PAT runs in pandas (canonicalize) and verbatim in the
+    DuckDB oracle; both must agree, also on a trailing newline where a
+    ``$`` anchor would diverge (Python re vs RE2)."""
+    import duckdb
+
+    from ee_outliers_ray.urls import FRAGMENT_PAT
+
+    urls = ["http://a.com/p#frag\n", "http://a.com/p#frag", "http://a.com/p"]
+    got_pd = pd.Series(urls).str.replace(FRAGMENT_PAT, "", regex=True)
+    got_db = [duckdb.execute("SELECT regexp_replace(?, ?, '', 'g')",
+                             [u, FRAGMENT_PAT]).fetchone()[0] for u in urls]
+    assert got_pd.tolist() == got_db
+    assert got_db == ["http://a.com/p\n", "http://a.com/p", "http://a.com/p"]
+
+
 def test_host_of():
     c = canonicalize(np.array([
         "http://WWW.News.Example.com/x",
