@@ -1,22 +1,22 @@
-"""BM25 top-k query engines over the segment index.
+"""BM25 top-k query engines over the segment index: one scoring core.
 
-Two paths, both following the determinism contract in ``bm25.py`` (float64
-accumulation in ascending term order; ties score-desc/doc_id-asc), so they
-return **identical** (doc_id, score) lists:
-
-- ``taat_topk``: exact term-at-a-time vectorized scoring (numpy dense
-  accumulator) — the obviously-correct reference and the serving path.
-- ``BlockMaxPruning``: vectorized range-at-a-time pruning (BMP) — the
-  skip path; projects block maxima onto fixed doc ranges and scores only
-  ranges whose bound can still enter the heap.
+``TaatSearcher`` owns everything a score depends on: the reader, the
+(optionally injected, global) N / avgdl / df, and one budgeted cache of
+per-term (doc_ids, weights) vectors.  It scores term-at-a-time into a
+dense float64 accumulator; rare-term queries take a sparse union path.
+``BlockMaxPruning`` is the same searcher with a range-pruning dense path:
+block-max bounds projected onto fixed doc ranges decide which ranges of
+the cached vectors get scored.  Both follow the determinism contract in
+``bm25.py`` (float64 accumulation in ascending term order; ties
+score-desc/doc_id-asc), so they return **identical** (doc_id, score)
+lists.  ``min_match_topk`` / ``intersect_terms`` are the standalone
+reader paths for OR-with-floor and AND queries.
 
 Replaces the reference's delegation of ``query_string`` scoring to
-Elasticsearch/Lucene (/root/reference/app/helpers/es.py:238-250).
+Elasticsearch/Lucene (ee-outliers ``app/helpers/es.py:238-250``).
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -38,13 +38,19 @@ class TaatSearcher:
     entries are reset between queries.  Scale note: a dense accumulator is
     bounded by the doc-partition size — at 10^12 docs the corpus is doc-
     sharded and each shard's searcher accumulates over its own range, with
-    a top-k heap merge across shards; BlockMaxPruning is the skip path.
+    a top-k heap merge across shards; ``BlockMaxPruning`` subclasses it
+    as the skip path.
 
     The sharded service injects GLOBAL N / avgdl / df through
     ``set_global_stats`` / ``add_dfs``: postings are shard-local, but
     per-shard scores must be directly mergeable and identical to a
     single-index run.
     """
+
+    # postings held weighted across the cached terms of one searcher:
+    # clear-on-overflow, then insert, so a long-lived actor stays within
+    # the budget plus one term's postings
+    WEIGHT_BUDGET = 30_000_000
 
     def __init__(self, reader: IndexReader):
         self.reader = reader
@@ -95,7 +101,7 @@ class TaatSearcher:
         df = self.df_lookup.get(t, len(doc_ids))
         w = term_weight(tfs, self.reader.doclens[doc_ids],
                         idf(self.n_docs, df), self.avgdl)
-        if self._weights_n + len(doc_ids) > 30_000_000:
+        if self._weights_n + len(doc_ids) > self.WEIGHT_BUDGET:
             self._weights.clear()
             self._weights_n = 0
         self._weights[t] = (doc_ids, w)
@@ -153,11 +159,12 @@ class TaatSearcher:
     def _topk_uncached(self, terms: list[str], k: int
                        ) -> list[tuple[int, float]]:
         acc = self._acc
-        vecs = []
+        hit_terms, vecs = [], []
         total_postings = 0
         for t in terms:
             vec = self._term_vec(t)
             if vec is not None:
+                hit_terms.append(t)
                 vecs.append(vec)
                 total_postings += len(vec[0])
         if not vecs:
@@ -174,6 +181,13 @@ class TaatSearcher:
             d, s = topk_from_scores(cand, acc[cand], k)
             acc[cand] = 0.0
             return list(zip(d.tolist(), s.tolist()))
+        return self._topk_dense(hit_terms, vecs, k)
+
+    def _topk_dense(self, terms: list[str], vecs: list, k: int
+                    ) -> list[tuple[int, float]]:
+        """Score ``vecs`` (the cached (doc_ids, weights) of ``terms``,
+        ascending) with one scatter pass and a touched-array scan."""
+        acc = self._acc
         touched = self._touched
         for doc_ids, w in vecs:
             acc[doc_ids] += w
@@ -190,128 +204,55 @@ def taat_topk(reader: IndexReader, query: str, k: int = 10
     return TaatSearcher(reader).topk(query, k)
 
 
-class BlockMaxPruning:
+class BlockMaxPruning(TaatSearcher):
     """Vectorized range-at-a-time block-max pruning (BMP) top-k.
 
-    The skip path, with NO per-document Python loop: per-term, per-block
-    BM25 upper bounds are projected onto fixed-width doc-id ranges with
-    two ``searchsorted`` passes and one ``maximum.reduceat`` (no posting
-    decode); ranges are visited in descending aggregate-bound order and
-    each visited range is scored with the same float64 ascending-term-
-    order numpy kernel as ``TaatSearcher``, so (doc_id, score) results
-    are bit-identical to TAAT (pytest-gated).  Visiting stops at the
-    first range whose bound is STRICTLY below the current kth score:
-    ``<=`` would be unsafe under the (score desc, doc_id asc) tie rule,
-    because an unvisited doc tying the kth score with a smaller doc_id
-    would still deserve the slot.
-
-    Dense terms (>= one posting per DENSE_DIVISOR docs) skip the
-    per-block loop entirely: one cached full decode + precomputed
-    weight vector + a single vectorized searchsorted yields each
-    range's posting slice, so a stopword term costs three numpy ops per
-    visited range instead of ~8 small numpy calls per block (measured
-    19.6 s -> 0.68 s first-query on the 16M-doc "the data" pair,
-    bit-identical).  Selective terms keep the block path, which never
-    decodes postings outside visited ranges.
+    A ``TaatSearcher`` that skips doc ranges: it shares TAAT's weight
+    cache, injected global stats, result cache, ``min_match_topk`` and
+    sparse union path, and replaces only the dense scan.  Per-term,
+    per-block BM25 upper bounds are projected onto fixed-width doc-id
+    ranges with two ``searchsorted`` passes and one ``maximum.reduceat``
+    (no posting decode), computed from the same N / avgdl / df as the
+    cached weights they bound.  Ranges are visited in descending
+    aggregate-bound order; each visited range scatters the slices of the
+    cached (doc_ids, weights) vectors that fall in it (one
+    ``searchsorted`` per term per query gives every range's cut), in
+    ascending term order, so (doc_id, score) results are bit-identical
+    to TAAT (pytest-gated).  Visiting stops at the first range whose
+    bound is STRICTLY below the current kth score: ``<=`` would be
+    unsafe under the (score desc, doc_id asc) tie rule, because an
+    unvisited doc tying the kth score with a smaller doc_id would still
+    deserve the slot.
 
     After the range-pruning idea of Mallia, Suel & Tonellotto, "Faster
     Learned Sparse Retrieval with Block-Max Pruning" (SIGIR 2024, public),
     adapted to this codec's unaligned 128-posting blocks: a block
     straddling a range boundary contributes through the explicit
     ``ub[hi-1]`` term, so the projected bound stays valid without
-    re-blocking the index.  At 10^12-doc scale the corpus is doc-sharded;
-    each shard prunes over its own ranges and only (range bound, shard)
-    pairs above the global theta are scored — the bound projection is
-    O(n_ranges + n_blocks) per term, independent of posting count.
+    re-blocking the index.  The bound projection is O(n_ranges +
+    n_blocks) per term, independent of posting count.
     """
 
-    # decoded-block cache cap in POSTINGS, mirroring IndexReader's
-    # postings_decoded limit: a long-lived searcher in a query actor
-    # must not grow without bound across queries
-    DECODED_CACHE_LIMIT = 50_000_000
-
-    # a term with at least one posting per DENSE_DIVISOR docs takes the
-    # dense path: one cached full decode + precomputed weights + a single
-    # vectorized searchsorted for all range cuts, instead of the
-    # per-block Python loop (which on a stopword term visits ~every
-    # block and pays ~8 small numpy calls per block)
-    DENSE_DIVISOR = 16
-
     def __init__(self, reader: IndexReader, range_width: int = 4096):
-        self.reader = reader
+        super().__init__(reader)
         self.range_width = int(range_width)
-        self._blocks: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._blocks_postings = 0
-        # dense-term cache: term -> (doc_ids, weights, range cuts)
-        self._dense: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _block(self, term: str, run, bi: int):
-        from ..index.codec import decode_block
-
-        key = (term, bi)
-        hit = self._blocks.get(key)
-        if hit is None:
-            hit = decode_block(run.payload, int(run.block_offset[bi]),
-                               int(run.block_len[bi]),
-                               int(run.block_first_doc[bi]))
-            if self._blocks_postings + len(hit[0]) > self.DECODED_CACHE_LIMIT:
-                # _blocks_postings counts BOTH caches — clear both, or
-                # dense entries stay alive but uncounted and the cap is
-                # silently exceeded
-                self._blocks.clear()
-                self._dense.clear()
-                self._blocks_postings = 0
-            self._blocks[key] = hit
-            self._blocks_postings += len(hit[0])
-        return hit
-
-    def _dense_term(self, term: str, idf_val: float, n_ranges: int):
-        """Dense-path arrays for one term: full decoded doc_ids, their
-        precomputed BM25 weights, and the posting-index cut at every
-        range boundary.  Scores are bit-identical to the block path:
-        term_weight is elementwise and each doc carries exactly one
-        posting per term, so per-doc accumulation order is unchanged."""
-        hit = self._dense.get(term)
-        if hit is not None:
-            return hit
-        docs, tfs = self.reader.postings_decoded(term)
-        w = term_weight(tfs, self.reader.doclens[docs], idf_val,
-                        self.reader.avgdl)
-        cuts = np.searchsorted(
-            docs, np.arange(n_ranges + 1, dtype=np.int64) * self.range_width)
-        if self._blocks_postings + len(docs) > self.DECODED_CACHE_LIMIT:
-            self._dense.clear()
-            self._blocks.clear()
-            self._blocks_postings = 0
-        self._dense[term] = (docs, w, cuts)
-        self._blocks_postings += len(docs)
-        return docs, w, cuts
-
-    def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        r = self.reader
+    def _topk_dense(self, terms: list[str], vecs: list, k: int
+                    ) -> list[tuple[int, float]]:
         W = self.range_width
-        n_docs_total = len(r.doclens)
-        n_ranges = max(1, -(-n_docs_total // W))
-        entries = []
-        for t in _query_terms(query):
-            run = r.postings(t)
-            if run is None:
-                continue
-            entries.append((t, run, idf(r.n_docs, run.n_postings)))
-        if not entries:
-            return []
-
-        starts = np.arange(n_ranges, dtype=np.int64) * W
+        n_ranges = max(1, -(-len(self._acc) // W))
+        edges = np.arange(n_ranges + 1, dtype=np.int64) * W
         bound = np.zeros(n_ranges, dtype=np.float64)
-        spans = []  # per-term (lo, hi) block-index windows per range
-        for t, run, idf_val in entries:
-            ub = block_upper_bound(idf_val, run.block_max_tf,
-                                   run.block_min_dl, r.avgdl)
+        cuts = []
+        for t, (doc_ids, _) in zip(terms, vecs):
+            run = self.reader.postings(t)
+            ub = block_upper_bound(
+                idf(self.n_docs, self.df_lookup.get(t, len(doc_ids))),
+                run.block_max_tf, run.block_min_dl, self.avgdl)
             nb = len(ub)
             # blocks intersecting range r: [lo_r, hi_r)
-            lo = np.searchsorted(run.block_last_doc, starts, side="left")
-            hi = np.searchsorted(run.block_first_doc, starts + W,
-                                 side="left")
+            lo = np.searchsorted(run.block_last_doc, edges[:-1], side="left")
+            hi = np.searchsorted(run.block_first_doc, edges[1:], side="left")
             has = hi > lo
             # segment max over [lo_r, lo_{r+1}) via reduceat on a padded
             # array (pad makes index nb valid; empty segments are masked)
@@ -323,71 +264,33 @@ class BlockMaxPruning:
             m = seg_nonempty & has
             contrib[m] = np.maximum(contrib[m], segmax[m])
             bound += contrib
-            spans.append((lo, hi))
+            cuts.append(np.searchsorted(doc_ids, edges).tolist())
 
-        dense_terms = [
-            self._dense_term(t, idf_val, n_ranges)
-            if run.n_postings * self.DENSE_DIVISOR >= n_docs_total else None
-            for t, run, idf_val in entries]
-
-        order = np.argsort(-bound, kind="stable")
-        heap: list[tuple[float, int]] = []
+        acc, touched = self._acc, self._touched
+        top_d = np.zeros(0, dtype=np.int64)
+        top_s = np.zeros(0, dtype=np.float64)
         theta = -np.inf
-        acc = np.zeros(W, dtype=np.float64)
-        touched = np.zeros(W, dtype=bool)
-        avgdl = r.avgdl
-        doclens = r.doclens
-        for o in order.tolist():
+        for o in np.argsort(-bound, kind="stable").tolist():
             b = bound[o]
-            if b <= 0.0:
+            if b <= 0.0 or b < theta:
                 break
-            if len(heap) >= k and b < theta:
-                break
-            base = o * W
-            end = base + W
-            for (t, run, idf_val), (lo, hi), dense in zip(entries, spans,
-                                                          dense_terms):
-                if dense is not None:
-                    ddocs, dw, cuts = dense
-                    s, e = int(cuts[o]), int(cuts[o + 1])
-                    if s == e:
-                        continue
-                    loc = ddocs[s:e] - base
-                    acc[loc] += dw[s:e]
-                    touched[loc] = True
-                    continue
-                for bi in range(int(lo[o]), int(hi[o])):
-                    docs, tfs = self._block(t, run, bi)
-                    s = int(np.searchsorted(docs, base, side="left"))
-                    e = int(np.searchsorted(docs, end, side="left"))
-                    if s == e:
-                        continue
-                    d = docs[s:e]
-                    w = term_weight(tfs[s:e], doclens[d], idf_val, avgdl)
-                    loc = d - base
-                    acc[loc] += w
-                    touched[loc] = True
-            local = np.flatnonzero(touched)
-            if local.size:
-                scores_r = acc[local]
-                if len(heap) >= k:
-                    keep = np.flatnonzero(scores_r >= theta)
-                    cand_s, cand_d = scores_r[keep], local[keep] + base
-                else:
-                    cand_s, cand_d = scores_r, local + base
-                for sc, dc in zip(cand_s.tolist(), cand_d.tolist()):
-                    item = (sc, -dc)
-                    if len(heap) < k:
-                        heapq.heappush(heap, item)
-                        if len(heap) == k:
-                            theta = heap[0][0]
-                    elif item > heap[0]:
-                        heapq.heapreplace(heap, item)
-                        theta = heap[0][0]
-                acc[local] = 0.0
-                touched[local] = False
-        out = sorted(heap, key=lambda x: (-x[0], -x[1]))
-        return [(-d, s) for s, d in out]
+            for (doc_ids, w), cut in zip(vecs, cuts):  # ascending terms
+                s, e = cut[o], cut[o + 1]
+                if s < e:
+                    acc[doc_ids[s:e]] += w[s:e]
+                    touched[doc_ids[s:e]] = True
+            local = np.flatnonzero(touched[o * W:(o + 1) * W]) + o * W
+            scores = acc[local]
+            acc[local] = 0.0
+            touched[local] = False
+            keep = scores >= theta
+            if keep.any():
+                top_d, top_s = topk_from_scores(
+                    np.concatenate([top_d, local[keep]]),
+                    np.concatenate([top_s, scores[keep]]), k)
+                if len(top_d) >= k:
+                    theta = top_s[-1]
+        return list(zip(top_d.tolist(), top_s.tolist()))
 
 
 def _run_members(run, cand: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Query service: a pool of Ray actors each holding an IndexReader
 (segments + doclens + stats loaded once per actor), answering BM25 top-k
-with TAAT (or BMP range pruning).  This is the serving-path analogue of the
+with TAAT (or its BMP subclass).  This is the serving-path analogue of the
 reference's delegation of query evaluation to the ES cluster
 (/root/reference/app/helpers/es.py:110-141) — scatter queries over the
 pool, each actor evaluates independently against shared index storage."""
@@ -12,10 +12,10 @@ import ray
 
 @ray.remote
 class QueryActor:
-    """mode="taat": vectorized scorer with request/weight caches;
-    mode="bmp": vectorized block-max range pruning (the 10^12-doc skip
-    path — never decodes postings outside visited ranges, dense terms
-    take the cached full-decode path).  Both are rank- AND
+    """mode="taat": vectorized term-at-a-time scorer; mode="bmp": the
+    same searcher with block-max range pruning on its dense path.  Both
+    share the weight cache and result cache (``result_cache=False``
+    turns the latter off in either mode) and are rank- AND
     score-identical (pytest-verified)."""
 
     def __init__(self, index_dir: str, mode: str = "taat",
@@ -26,7 +26,7 @@ class QueryActor:
         self.reader = IndexReader(index_dir)
         self.engine = {"taat": TaatSearcher,
                        "bmp": BlockMaxPruning}[mode](self.reader)
-        if mode == "taat" and not result_cache:
+        if not result_cache:
             self.engine.result_cache_size = 0
 
     def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
@@ -37,20 +37,10 @@ class QueryActor:
 
     def min_match_batch(self, requests: list, k: int = 10) -> list:
         """Serve minimum_should_match OR queries: ``requests`` is a list
-        of (terms, min_match).  TAAT mode goes through the searcher's
-        per-term weight cache; bmp actors fall back to the
-        standalone reader path (identical results by the shared union
-        kernel)."""
-        from .engine import min_match_topk as _mm
-
-        out = []
-        for terms, m in requests:
-            if hasattr(self.engine, "min_match_topk"):
-                out.append(self.engine.min_match_topk(terms, m, k))
-            else:
-                d, nm, s = _mm(self.reader, terms, m, k)
-                out.append(list(zip(d.tolist(), nm.tolist(), s.tolist())))
-        return out
+        of (terms, min_match), answered through the searcher's per-term
+        weight cache in either mode."""
+        return [self.engine.min_match_topk(terms, m, k)
+                for terms, m in requests]
 
 
 def query_pool(index_dir: str, n_actors: int, mode: str = "taat",

@@ -12,8 +12,9 @@ pytestmark = pytest.mark.skipif(
     not os.path.exists(os.path.join(BENCH_INDEX, "stats.json")),
     reason="bench index not built (run bench.py first)")
 
-# mid/low-frequency terms exercise multi-block skipping on the block
-# path; the stopword pair takes the dense-term path
+# mid/low-frequency terms take the sparse union path when their
+# postings stay under 1/16 of the corpus; the stopword pair runs the
+# range-pruning loop over ~490 ranges of 4096 docs
 QUERIES = ["w0042 w0100", "w0007 w1500 w0333", "w1899", "the data"]
 
 

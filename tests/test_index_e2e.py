@@ -131,7 +131,7 @@ def test_bmp_k1_and_large_k(reader):
     assert bmp.topk("data search", k=1) == taat_topk(reader, "data search", k=1)
     # k larger than the number of matching docs
     assert bmp.topk("w0042", k=5000) == taat_topk(reader, "w0042", k=5000)
-    # searcher reuse across queries (block cache + theta reset)
+    # searcher reuse across queries (weight cache + theta reset)
     assert bmp.topk("the data", k=10) == taat_topk(reader, "the data", k=10)
     assert bmp.topk("the data", k=10) == taat_topk(reader, "the data", k=10)
 
@@ -275,41 +275,21 @@ def test_meta_df_matches_df(reader):
     assert reader.meta_df("zzz_not_present") == 0
 
 
-def test_bmp_block_cache_bounded(reader, query="the data"):
-    """BlockMaxPruning's decoded caches evict at the postings cap
-    instead of growing without bound across queries, with identical
-    results.  Contract (mirrors IndexReader.postings_decoded):
-    clear-on-overflow, then insert — so the count never exceeds the cap
-    plus ONE entry (a block on the sparse path, a whole term's postings
-    on the dense path)."""
+def test_bmp_weight_budget_bounded(reader):
+    """BlockMaxPruning scores from TAAT's one weight cache, which evicts
+    at WEIGHT_BUDGET instead of growing without bound across queries,
+    with identical results.  Contract: clear-on-overflow, then insert,
+    so the held count never exceeds the budget plus ONE term's
+    postings."""
     from ee_outliers_ray.query.engine import BlockMaxPruning
+    from ee_outliers_ray.tokenizer import tokenize
 
-    bmp = BlockMaxPruning(reader)
-    want = bmp.topk(query, 10)
-    tiny = BlockMaxPruning(reader)
-    tiny.DECODED_CACHE_LIMIT = 64  # force eviction every few entries
-    assert tiny.topk(query, 10) == want
-    max_entry = max(reader.df(t) for t in query.split())
-    assert tiny._blocks_postings <= 64 + max_entry
-
-    # force the block path (density gate off): same results, block slack
-    sparse = BlockMaxPruning(reader)
-    sparse.DENSE_DIVISOR = 0  # n_postings * 0 >= n_docs is never true
-    sparse.DECODED_CACHE_LIMIT = 64
-    assert sparse.topk(query, 10) == want
-    assert not sparse._dense
-    assert sparse._blocks_postings <= 64 + 128
-
-    # block-path eviction must drop dense entries too — the counter is
-    # shared, so clearing only _blocks would leave dense arrays alive
-    # but uncounted (regression: round-4 review finding)
-    mixed = BlockMaxPruning(reader)
-    mixed.DECODED_CACHE_LIMIT = 64
-    assert mixed.topk(query, 10) == want   # dense entries inserted
-    assert mixed._dense
-    mixed.DENSE_DIVISOR = 0
-    assert mixed.topk(query, 10) == want   # block inserts -> overflow
-    assert not mixed._dense
-    held = sum(len(d) for d, _, _ in mixed._dense.values()) \
-        + sum(len(h[0]) for h in mixed._blocks.values())
-    assert held == mixed._blocks_postings  # counter matches holdings
+    bmp = BlockMaxPruning(reader, range_width=64)
+    bmp.WEIGHT_BUDGET = 64  # force eviction on nearly every term
+    bmp.result_cache_size = 0
+    for q in ("the data", "w0100 w0200 w0300", "the data search engine",
+              "the data"):
+        assert bmp.topk(q, 10) == taat_topk(reader, q, 10), q
+        held = sum(len(d) for d, _ in bmp._weights.values())
+        assert held == bmp._weights_n  # counter matches holdings
+        assert held <= 64 + max(reader.df(t) for t in tokenize(q)), q

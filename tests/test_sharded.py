@@ -38,6 +38,34 @@ def test_sharded_identical_to_single(setup):
         assert got == want, q  # bit-identical scores, same order
 
 
+def test_bmp_shards_with_global_stats(setup):
+    """BlockMaxPruning per shard, scored with injected GLOBAL N / avgdl
+    / df, merges into exactly the single-index TAAT top-k: its bounds
+    and weights come from the same global stats.  range_width=64 gives
+    every shard several ranges, so "the" / "the data" run the range
+    loop rather than the sparse union path."""
+    from ee_outliers_ray.query.engine import BlockMaxPruning
+    from ee_outliers_ray.tokenizer import tokenize
+
+    single, dirs = setup
+    reader = IndexReader(single)
+    readers = [IndexReader(d) for d in dirs]
+    n_docs = sum(r.n_docs for r in readers)
+    avgdl = sum(r.total_len for r in readers) / n_docs
+    terms = {t for q in QUERIES for t in tokenize(q)}
+    dfs = {t: sum(r.df(t) for r in readers) for t in terms}
+    shards = []
+    for r in readers:
+        bmp = BlockMaxPruning(r, range_width=64)
+        bmp.set_global_stats(n_docs, avgdl, {})
+        bmp.add_dfs(dfs)
+        shards.append(bmp)
+    for q in QUERIES:
+        merged = [x for b in shards for x in b.topk(q, 10)]
+        merged.sort(key=lambda ds_: (-ds_[1], ds_[0]))
+        assert merged[:10] == taat_topk(reader, q, k=10), q
+
+
 def test_global_df_cache(setup):
     _, dirs = setup
     svc = ShardedQueryService(dirs)
@@ -79,8 +107,7 @@ def test_query_pool_modes_identical(setup):
 
 def test_query_actor_min_match_batch(setup):
     """QueryActor.min_match_batch in both modes == engine.min_match_topk:
-    taat serves through the searcher's weight cache, bmp through the
-    standalone reader path."""
+    both serve through the searcher's per-term weight cache."""
     import ray
 
     from ee_outliers_ray.query.engine import min_match_topk
