@@ -72,14 +72,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
     contract; term_cf/corpus_stats derive from the same tokenize
     aggregate as term_df/token_counts), (b) trivial counts/filters, and
     (c) the genuinely non-SQL entries (iterative training, approximate
-    LSH, media decode) — every tail entry is still checked each pytest
+    LSH) — every tail entry is still checked each pytest
     session (tests/test_oracle_parity.py runs the DuckDB comparison for
     ALL oracled entries; the non-SQL ones have pinned goldens).  Every
     entry whose implementation changed in the round-5 diff (ann_ivf,
     search_and, fuzzy_search, index_append_term_df, hash_join_revenue,
-    asof_join_events, enrichment, dedup_minhash/ngram, media_features —
-    jpeg AND IMA-ADPCM decode became real this round) sits inside the driver's
-    externally checked 50-entry window; dedup_keep_list (a trivial
+    asof_join_events, enrichment, dedup_minhash/ngram) sits inside the
+    driver's externally checked 50-entry window; dedup_keep_list (a trivial
     anti-join over dedup_clusters' output, both driver-green r4 and
     pytest-parity-checked) holds the tail slot that freed.
 
@@ -88,8 +87,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     the same changed-code-stays-externally-checked rule; the slot came
     from time_window_counts (unchanged since r1, driver-green r1-r4,
     trivial Arrow range count, oracle-parity-checked every pytest
-    session), which moved to the trivial-counts tail group.  That is the
-    ONLY post-freeze move.
+    session), which moved to the trivial-counts tail group.  The only
+    other post-freeze move is search_or's, below.
 
     Late-r5 note: embedding_dups' DISTRIBUTED candidate path (engaged only
     above max_driver_candidate_rows=2M, i.e. never at driver scale) was
@@ -105,16 +104,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     Post-freeze additions (repetition_scores, gopher_filter, pii_scrub,
     decontaminate, lm_perplexity, quality_resample, source_mix,
-    stratified_sample, chunk_docs, search_or, url_host_stats,
-    top_ngrams, more_like_this — all NEW operators, all SQL-oracled
-    — plus bpe_train (iterative) and ann_pq (lossy quantization),
-    rows-only) are APPENDED at the very
-    tail rather than inserted in the text-analysis group: the window is
-    exactly 50 entries, so an in-group insert would push media_features
-    (changed this round) out of external checking.  New code that
-    displaces nothing loses nothing by sitting at the tail — it was
-    never in any driver window — and the session-local DuckDB parity
-    check covers it like every other oracled tail entry."""
+    stratified_sample, chunk_docs, url_host_stats, top_ngrams,
+    more_like_this — all NEW operators, all SQL-oracled — plus
+    bpe_train (iterative) and ann_pq (lossy quantization), rows-only)
+    are APPENDED at the very tail rather than inserted in the
+    text-analysis group: the window is exactly 50 entries, so an
+    in-group insert would push the 50th entry out of external checking.
+    New code that displaces nothing loses nothing by sitting at the
+    tail — it was never in any driver window — and the session-local
+    DuckDB parity check covers it like every other oracled tail entry.
+
+    search_or (BM25 minimum_should_match, SQL-oracled, post-freeze)
+    instead closes the full-text/index group: it took the window slot
+    freed when a rows-only entry was deleted, so that external check
+    goes to an engine operator and no other entry moved."""
     return {
         # --- full-text / index (SURVEY §2 Q1, A11, O8, M13) ---
         "token_counts": P.token_counts,
@@ -131,6 +134,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "fuzzy_search": P.fuzzy_search,
         "regexp_search": P.regexp_search,
         "matched_values_highlight": P.matched_values_highlight,
+        # BM25 minimum_should_match OR query (the Lucene/ES knob between
+        # pure OR and AND; query/engine.min_match_topk) — post-freeze,
+        # SQL-oracled, in the window's freed slot (see docstring).
+        "search_or": P.search_or,
         # --- text analysis ---
         "quality_scores": P.quality,
         "langid": P.langid_documents,
@@ -175,8 +182,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # in-window per the changed-code-stays-externally-checked rule —
         # also pinned to exhaustive truth in tests/test_substring_dups.py
         "substring_dups": P.substring_dups,
-        # --- multimodal (rows-only; decoders changed in r5 -> window) ---
-        "media_features": P.media_features,
         # ---- tail (see docstring): redundant-by-contract gates ----
         "dedup_keep_list": P.dedup_keep_list,
         "term_cf": P.term_cf,
@@ -199,9 +204,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # ---- tail: post-freeze r5 additions ----
         # NEW late-r5 operator, appended at the very tail so the frozen
         # 50-entry window is untouched (inserting in the text-analysis
-        # group would push media_features — changed this round — out of
-        # the externally checked window).  SQL-oracled and parity-checked
-        # every pytest session like every other tail oracle.
+        # group would push the 50th entry out of the externally checked
+        # window).  SQL-oracled and parity-checked every pytest session
+        # like every other tail oracle.
         "repetition_scores": P.repetition,
         # Fused Gopher quality FILTER (one tokenize pass -> signals +
         # keep decision) — same post-freeze append-only placement.
@@ -237,10 +242,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # splitting counterpart of packed_sequences) — post-freeze
         # append.
         "chunk_docs": P.chunk_docs,
-        # BM25 minimum_should_match OR query (the Lucene/ES knob between
-        # pure OR and AND; query/engine.min_match_topk) — post-freeze
-        # append, SQL-oracled.
-        "search_or": P.search_or,
         # Canonical-URL dedup stats per host (urls.py: the cheapest CC
         # dedup signal; raw-url synthesis deterministic from doc_id,
         # regex chain shared verbatim with the oracle) — post-freeze
@@ -1142,6 +1143,6 @@ def oracle_sql() -> dict[str, str]:
                              AND stopword_ratio >= 0.01
                         THEN 1 ELSE 0 END::BIGINT AS keep
             FROM sig""",
-        # no oracle (approximate / iterative / stubbed — justified):
-        # embedding_dups, word2vec_outliers, media_features, bpe_train
+        # no oracle (approximate / iterative / lossy — justified):
+        # embedding_dups, word2vec_outliers, bpe_train, ann_pq
     }

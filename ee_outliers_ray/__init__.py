@@ -21,10 +21,10 @@ Architecture (Ray-Data-first, see SURVEY.md):
              pipelines re-expressed as Ray Data plans (reference
              ``app/analyzers/*.py``), incl. decision frontiers and the
              whitelist fixpoint.
-- dedup / similarity / textstats / multimodal: large-scale training-data
+- dedup / similarity / textstats: large-scale training-data
              pipeline operators (exact + MinHash-LSH + SimHash dedup,
              brute-force & LSH cosine ANN, language-id / quality /
-             token-count / fingerprint, binary-payload stages).
+             token-count / fingerprint).
 
 No module in this package calls ``ray.init``/``ray.shutdown`` — sessions
 are owned by the driver, ``bench.py`` and the pytest fixture only.

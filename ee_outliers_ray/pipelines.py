@@ -706,8 +706,8 @@ def sudden_appearance_events(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# training-data pipeline operators (dedup / similarity / text analysis /
-# multimodal) over `documents` and `embeddings`
+# training-data pipeline operators (dedup / similarity / text analysis)
+# over `documents` and `embeddings`
 # --------------------------------------------------------------------------
 
 def dedup_exact(sf_dir: str):
@@ -1530,30 +1530,6 @@ def whitelist_housekeeping(sf_dir: str):
         "event_id": df["event_id"].astype(np.int64),
         "total_outliers": [o["total_outliers"] for o in df["outliers"]],
     })
-
-
-def media_features(sf_dir: str):
-    """Multimodal decode stage over the deterministic synthetic media
-    table (payload columns are not part of the driver testdata).  All
-    three modalities take REAL pure-stdlib decode paths: image rows
-    carry PNG payloads (png.py) and, alternating, baseline JPEG
-    payloads (jpeg.py — Annex K Huffman + DCT, 4:4:4/4:2:0), audio
-    rows 16-bit PCM WAV and, alternating, IMA-ADPCM compressed WAV
-    (wav.py -> spectral/energy features; the ADPCM kernel is pinned
-    bit-exact to stdlib audioop), video rows uncompressed-DIB AVI
-    (avi.py -> temporal pixel features); ``fake=False`` asserts no row
-    can silently fall back to the stub."""
-    import ray.data
-
-    from .multimodal import decode_features, synth_media_table
-
-    ds = ray.data.from_arrow(synth_media_table(n=64, seed=5,
-                                               real_png=True,
-                                               real_wav=True,
-                                               real_avi=True,
-                                               real_jpeg=True,
-                                               real_adpcm=True))
-    return decode_features(ds, fake=False)
 
 
 def url_host_stats(sf_dir: str):

@@ -72,6 +72,14 @@ def test_every_oracle_has_query():
         assert name in q
 
 
+def test_rows_only_set_is_declared():
+    """The entries without a SQL oracle are exactly the four whose results
+    cannot be pinned in SQL (iterative training, LSH recall, lossy PQ); a
+    new rows-only entry has to be added here on purpose."""
+    assert set(E.queries()) - set(E.oracle_sql()) == {
+        "word2vec_outliers", "embedding_dups", "bpe_train", "ann_pq"}
+
+
 def test_rows_only_queries_run():
     """Entries without an oracle still run and return >= 0 rows."""
     q = E.queries()
