@@ -94,12 +94,6 @@ _RUN_SCHEMA = pa.schema([
 
 _RUN_SCHEMA_POS = _RUN_SCHEMA.append(pa.field("positions", pa.list_(pa.int32())))
 
-# the non-positional projection of a segment row: readers serving
-# phrase-free queries pass this as ``columns=`` so a positional index's
-# position payloads (BASELINE.md: ~2/3 of a positional segment's bytes)
-# never leave disk on the BM25 / boolean read path
-RUN_BASE_COLUMNS = [f.name for f in _RUN_SCHEMA]
-
 
 def _run_to_row(term: str, bucket: int, rng: int, run: EncodedRun) -> dict:
     return {
@@ -124,9 +118,9 @@ def write_segment_table(table: pa.Table, path: str,
     """Write a (term-sorted) segment table with SIZE-AWARE row groups: a
     new row group starts when the accumulated payload bytes would exceed
     ``target_bytes`` or the row count ``max_rows``.  Terms are sorted,
-    so each row group carries a tight term min/max — the reader's
-    per-term predicate-pushdown read then decodes only the matching row
-    group(s) instead of the whole bucket file.  A hot term's multi-MB
+    so each row group holds a contiguous term range — the reader's term
+    directory maps a term to its row group(s), and a lookup decodes only
+    those instead of the whole bucket file.  A hot term's multi-MB
     payload forms (roughly) its own group; the old fixed
     row_group_size=4096 made one giant group whose EVERY payload was
     decompressed for EVERY term lookup — O(bucket bytes) read

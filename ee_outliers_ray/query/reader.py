@@ -2,8 +2,10 @@
 
 One ``IndexReader`` instance per query actor — loaded once in the actor's
 ``__init__`` (stats + doclens), per-term posting runs fetched lazily from
-the term's segment bucket with parquet predicate pushdown (segments are
-term-sorted within a bucket, so row-group stats prune the read) and cached.
+the term's segment bucket and cached.  A per-bucket term directory,
+built from the term and df columns on the bucket's first lookup, maps
+each term to its (file, row group, row) locations: a lookup then reads
+only those row groups, and an absent term reads no file at all.
 
 Scale path: doclens as doc-partitioned shards per query shard; here (dense
 doc_ids, sandbox scale) a single int32 numpy array.
@@ -11,17 +13,27 @@ doc_ids, sandbox scale) a single int32 numpy array.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
+import itertools
 import json
 import os
 import zlib
 
 import numpy as np
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..index.build import RUN_BASE_COLUMNS, _row_to_run
 from ..index.codec import EncodedRun
+
+# the segment columns a reader needs to rebuild one row's run (one per
+# EncodedRun field): BM25 and boolean reads project only these, so a
+# positional index's position payloads (BASELINE.md: ~2/3 of a
+# positional segment's bytes) never leave disk unless .positions() asks
+RUN_COLUMNS = [f.name for f in dataclasses.fields(EncodedRun)]
+
+
+def _list_values(t, name: str, row: int) -> np.ndarray:
+    return t[name][row].values.to_numpy()
 
 
 class IndexReader:
@@ -68,32 +80,72 @@ class IndexReader:
         self._decoded_postings = 0
         self.decoded_cache_limit = 50_000_000  # postings held decoded
         self._meta_df_cache: list[tuple[str, int]] | None = None
+        self._dirs: dict[int, dict[str, list]] = {}
+
+    def _directory(self, term: str) -> dict[str, list]:
+        """The term directory of ``term``'s bucket, built on first use:
+        term -> [summed segment df, [(file, row group, row), ...]].  Each
+        segment file is opened once and held, so its footer is parsed
+        once; only the term and df columns are read to build it."""
+        bucket = zlib.crc32(term.encode()) % self.num_buckets
+        found = self._dirs.get(bucket)
+        if found is not None:
+            return found
+        found = {}
+        paths = sorted(glob.glob(os.path.join(
+            self.segments_dir, f"bucket={bucket}", "**", "*.parquet"),
+            recursive=True))
+        for p in paths:
+            pf = pq.ParquetFile(p)
+            md = pf.metadata
+            locs = [(pf, g, row) for g in range(md.num_row_groups)
+                    for row in range(md.row_group(g).num_rows)]
+            t = pf.read(columns=["term", "df"], use_threads=False)
+            for name, df, loc in zip(t["term"].to_pylist(),
+                                     t["df"].to_pylist(), locs):
+                entry = found.setdefault(name, [0, []])
+                entry[0] += df
+                entry[1].append(loc)
+        self._dirs[bucket] = found
+        return found
+
+    def _segment_rows(self, term: str, positions: bool = False) -> list:
+        """The term's segment rows as (EncodedRun, positions or None),
+        in first_doc order; [] for an absent term, with no file read.
+        Each touched row group is read once, projected to the run
+        columns (plus ``positions`` only when asked for)."""
+        entry = self._directory(term).get(term)
+        if entry is None:
+            return []
+        cols = RUN_COLUMNS + ["positions"] if positions else RUN_COLUMNS
+        out = []
+        for (pf, g), locs in itertools.groupby(entry[1],
+                                               key=lambda loc: loc[:2]):
+            # single-threaded: handing a row group's few columns to pool
+            # threads costs more in wake-ups than it saves in decode
+            t = pf.read_row_group(g, columns=cols, use_threads=False)
+            for _, _, row in locs:
+                run = EncodedRun(payload=t["payload"][row].as_py(),
+                                 **{c: _list_values(t, c, row)
+                                    for c in RUN_COLUMNS[1:]})
+                out.append((run, _list_values(t, "positions", row)
+                            if positions else None))
+        out.sort(key=lambda r: int(r[0].block_first_doc[0]))
+        return out
 
     def postings(self, term: str) -> EncodedRun | None:
         """Fetch (and cache) the merged posting run for one term."""
         if term in self._cache:
             return self._cache[term]
-        bucket = zlib.crc32(term.encode()) % self.num_buckets
-        paths = glob.glob(os.path.join(self.segments_dir, f"bucket={bucket}",
-                                       "**", "*.parquet"), recursive=True)
-        rows = []
-        for p in paths:
-            # positional payload isolation: BM25/boolean reads project
-            # only the base run columns, so a positional index's
-            # positions column (the bulk of its bytes) stays on disk
-            # unless .positions() asks for it
-            t = pq.read_table(p, columns=RUN_BASE_COLUMNS,
-                              filters=[("term", "=", term)])
-            rows.extend(t.to_pylist())
+        rows = self._segment_rows(term)
         run = None
         if rows:
             # a hierarchical merge may leave one segment row per doc-range
             # (and per part file); concat them in first_doc order, with a
             # decode-merge-reencode fallback when part intervals interleave
-            rows.sort(key=lambda r: r["first_doc"])
             from ..index.codec import merge_runs
 
-            run = merge_runs([_row_to_run(r) for r in rows])
+            run = merge_runs([r[0] for r in rows])
         if run is not None and self.deleted is not None:
             run = self._filter_tombstoned(run)
         self._cache[term] = run
@@ -139,20 +191,13 @@ class IndexReader:
         return run.n_postings if run is not None else 0
 
     def meta_df(self, term: str) -> int:
-        """Document frequency from SEGMENT METADATA only (term + df
-        columns, predicate-pushdown read — no posting payload bytes
-        leave storage).  Under tombstones this is an UPPER bound on the
-        true df, which is exactly what a size gate wants: a term that
+        """Document frequency from SEGMENT METADATA only (the df column
+        summed when the term directory is built — no posting payload
+        bytes leave storage).  Under tombstones this is an UPPER bound on
+        the true df, which is exactly what a size gate wants: a term that
         looks big by metadata is at least as big before deletes."""
-        bucket = zlib.crc32(term.encode()) % self.num_buckets
-        paths = glob.glob(os.path.join(self.segments_dir, f"bucket={bucket}",
-                                       "**", "*.parquet"), recursive=True)
-        total = 0
-        for p in paths:
-            t = pq.read_table(p, columns=["df"],
-                              filters=[("term", "=", term)])
-            total += int(pc.sum(t["df"]).as_py() or 0)
-        return total
+        entry = self._directory(term).get(term)
+        return entry[0] if entry is not None else 0
 
     def terms_matching(self, pattern: str, limit: int = 1024) -> list[str]:
         """Expand a Lucene wildcard pattern (``*`` = any run, ``?`` = one
@@ -296,22 +341,13 @@ class IndexReader:
         offsets, ascending)."""
         if not self.has_positions:
             return None
-        bucket = zlib.crc32(term.encode()) % self.num_buckets
-        paths = glob.glob(os.path.join(self.segments_dir, f"bucket={bucket}",
-                                       "**", "*.parquet"), recursive=True)
-        rows = []
-        for p in paths:
-            t = pq.read_table(p, filters=[("term", "=", term)])
-            rows.extend(t.to_pylist())
+        rows = self._segment_rows(term, positions=True)
         if not rows:
             return None
-        rows.sort(key=lambda r: r["first_doc"])
         from ..index.codec import concat_runs, decode_run, runs_chainable
 
-        runs = [_row_to_run(r) for r in rows]
-        flat_pos = np.concatenate(
-            [np.asarray(r["positions"], dtype=np.int32) for r in rows]) \
-            if rows else np.zeros(0, dtype=np.int32)
+        runs = [r[0] for r in rows]
+        flat_pos = np.concatenate([r[1] for r in rows])
         if runs_chainable(runs):
             doc_ids, tfs = decode_run(concat_runs(runs))
             return self._filter_positions(doc_ids, tfs, flat_pos)

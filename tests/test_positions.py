@@ -106,36 +106,42 @@ def test_dense_phrase_df_gate(pos_index, monkeypatch):
 
 def test_postings_read_skips_positions_column(pos_index, monkeypatch):
     """Positional payload isolation: BM25/boolean posting reads project
-    only the base run columns (positions stay on disk), while
+    only the run columns (positions stay on disk), while
     .positions() still reads them — and the positions column is a real
     share of the positional segment's bytes, so the projection is a
     measurable read reduction."""
     import glob as globlib
     import os
 
-    from ee_outliers_ray.index.build import RUN_BASE_COLUMNS
     from ee_outliers_ray.query import reader as reader_mod
 
     src, idx = pos_index
     seen: list = []
-    orig = reader_mod.pq.read_table
+    cls = reader_mod.pq.ParquetFile
+    orig_group, orig_read = cls.read_row_group, cls.read
 
-    def spy(path, *a, **kw):
+    def spy_group(self, i, *a, **kw):
         seen.append(kw.get("columns"))
-        return orig(path, *a, **kw)
+        return orig_group(self, i, *a, **kw)
 
-    monkeypatch.setattr(reader_mod.pq, "read_table", spy)
+    def spy_read(self, *a, **kw):
+        seen.append(kw.get("columns"))
+        return orig_read(self, *a, **kw)
+
+    monkeypatch.setattr(cls, "read_row_group", spy_group)
+    monkeypatch.setattr(cls, "read", spy_read)
     r = IndexReader(idx)
     run = r.postings("alpha")
     assert run is not None
-    posting_reads = [c for c in seen if c is not None and "payload" in c]
-    assert posting_reads and all("positions" not in c
-                                 for c in posting_reads)
-    assert all(c == RUN_BASE_COLUMNS for c in posting_reads)
-    # .positions() must still see the payload column it needs
+    assert None not in seen  # every read projects its columns
+    posting_reads = [c for c in seen if "payload" in c]
+    assert posting_reads and all("positions" not in c for c in seen)
+    assert all(c == reader_mod.RUN_COLUMNS for c in posting_reads)
+    # .positions() must still read the positions column it needs
     seen.clear()
     d, t, fp = r.positions("alpha")
     assert len(fp) == int(t.sum())
+    assert any("positions" in c for c in seen)
 
     # measurable: the positions column is a nonzero share of the bytes
     # the pruned read now skips
