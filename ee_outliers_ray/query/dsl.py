@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .parse import EvalCtx, parse_query_string
+from .parse import EvalCtx, parse_query_string, preresolve_index_clauses
 
 
 def _clause_mask(clause: dict, batch: pa.Table, ctx: EvalCtx) -> np.ndarray:
@@ -73,19 +73,38 @@ def _clause_mask(clause: dict, batch: pa.Table, ctx: EvalCtx) -> np.ndarray:
             return np.zeros(n, dtype=bool)
         return pc.is_valid(batch[field]).to_numpy(zero_copy_only=False)
     if "query_string" in clause:
+        return clause["query_string"].mask(batch, ctx)
+    raise ValueError(f"unsupported DSL clause {list(clause)}")
+
+
+def _parse_clause(clause: dict, reader) -> dict:
+    """``clause`` with each query_string parsed once, on the driver, and
+    its index-answerable clauses resolved there when ``reader`` is
+    given: map tasks get ASTs of id arrays, never the reader."""
+    if "bool" in clause:
+        return {"bool": {k: [_parse_clause(c, reader)
+                             for c in clause["bool"].get(k, [])]
+                         for k in ("must", "should", "must_not")}}
+    if "query_string" in clause:
         q = clause["query_string"]
         ast = parse_query_string(q["query"],
                                  q.get("default_operator", "or"))
-        return ast.mask(batch, ctx)
-    raise ValueError(f"unsupported DSL clause {list(clause)}")
+        return {"query_string": ast if reader is None
+                else preresolve_index_clauses(ast, reader)}
+    return clause
 
 
 def filter_by_dsl(ds, dsl: dict | list, *, reader=None,
                   text_col: str = "text", id_col: str = "doc_id"):
     """Q2: apply a structured DSL filter as a streaming map_batches mask.
-    A list of clauses is a conjunction (es.py:252-270)."""
-    clauses = dsl if isinstance(dsl, list) else [dsl]
-    ctx = EvalCtx(reader=reader, text_col=text_col, id_col=id_col)
+    A list of clauses is a conjunction (es.py:252-270).  With a
+    ``reader`` and ``id_col`` in the dataset, query_string clauses
+    resolve through the index as in ``filter_by_query_string``."""
+    if reader is not None and id_col not in ds.schema().names:
+        reader = None
+    clauses = [_parse_clause(c, reader)
+               for c in (dsl if isinstance(dsl, list) else [dsl])]
+    ctx = EvalCtx(text_col=text_col, id_col=id_col)
 
     def f(b: pa.Table) -> pa.Table:
         out = np.ones(b.num_rows, dtype=bool)

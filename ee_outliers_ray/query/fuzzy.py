@@ -24,38 +24,45 @@ only changes what a non-ASCII USER query matches).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 
-def _pad_matrix(cands: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 candidate bytes -> (n, L) uint8 matrix (NUL-padded) +
-    byte lengths."""
-    lens = np.fromiter((len(s) for s in cands), dtype=np.int64,
-                       count=len(cands))
-    L = int(lens.max()) if len(cands) else 0
-    data = b"".join(s.ljust(L, b"\x00") for s in cands)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(cands), L), lens
-
-
-def levenshtein_within(query: str, cands: list[str],
-                       max_dist: int) -> np.ndarray:
-    """Boolean mask: which candidates are within ``max_dist`` edits of
-    ``query`` under DuckDB/byte-level Levenshtein.  Candidates whose
-    UTF-8 byte length differs from the query's by more than ``max_dist``
-    are rejected up front (a length-band prune — the edit distance is at
-    least the length difference)."""
+def _band_matrix(cands: pa.StringArray, m: int, max_dist: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates whose UTF-8 byte length is within ``max_dist`` of
+    ``m`` (a length-band prune — the edit distance is at least the
+    length difference), gathered straight from the Arrow buffers: their
+    indices, an (n, L) uint8 matrix (NUL-padded) and byte lengths."""
     n = len(cands)
-    out = np.zeros(n, dtype=bool)
-    if n == 0:
+    offs = np.frombuffer(cands.buffers()[1], dtype=np.int32,
+                         count=n + 1, offset=4 * cands.offset)
+    data = cands.buffers()[2]
+    data = np.frombuffer(data, dtype=np.uint8) if data is not None \
+        else np.zeros(1, dtype=np.uint8)
+    lens = np.diff(offs)
+    idx = np.flatnonzero(np.abs(lens - m) <= max_dist)
+    lens, starts = lens[idx], offs[idx]
+    cols = np.arange(int(lens.max()) if len(idx) else 0)
+    pos = np.minimum(starts[:, None] + cols, len(data) - 1)
+    mat = np.where(cols < lens[:, None], data[pos], np.uint8(0))
+    return idx, mat, lens
+
+
+def levenshtein_within(query: str, cands, max_dist: int) -> np.ndarray:
+    """Boolean mask: which candidates (a list of str or an Arrow string
+    array) are within ``max_dist`` edits of ``query`` under
+    DuckDB/byte-level Levenshtein.  Candidates outside the length band
+    are rejected up front."""
+    if not isinstance(cands, pa.Array):
+        cands = pa.array(cands, pa.string())
+    out = np.zeros(len(cands), dtype=bool)
+    if not len(cands):
         return out
     q = np.frombuffer(query.encode(), dtype=np.uint8)
     m = len(q)
-    enc = [s.encode() for s in cands]
-    lens_all = np.fromiter((len(s) for s in enc), dtype=np.int64, count=n)
-    band = np.abs(lens_all - m) <= max_dist
-    idx = np.flatnonzero(band)
+    idx, mat, lens = _band_matrix(cands, m, max_dist)
     if not len(idx):
         return out
-    mat, lens = _pad_matrix([enc[i] for i in idx])
     nb, L = mat.shape
     cols = np.arange(L + 1, dtype=np.int32)
     dp = np.broadcast_to(cols, (nb, L + 1)).astype(np.int32)
@@ -70,5 +77,11 @@ def levenshtein_within(query: str, cands: list[str],
         np.minimum.accumulate(a, axis=1, out=a)
         np.minimum(new, a + cols, out=new)
         dp = new
-    out[idx] = dp[np.arange(nb), lens] <= max_dist
+        # a row's minimum never falls in later rows: drop candidates
+        # already beyond max_dist
+        alive = dp.min(axis=1) <= max_dist
+        if not alive.all():
+            idx, mat, lens, dp = idx[alive], mat[alive], lens[alive], \
+                dp[alive]
+    out[idx] = dp[np.arange(len(idx)), lens] <= max_dist
     return out

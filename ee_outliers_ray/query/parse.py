@@ -14,13 +14,14 @@ grammar   or_expr   := and_expr (OR and_expr)*
           clause    := '_exists_' ':' name | name ':' value
                        | '"' phrase '"' | term
 
-Evaluation is a per-batch boolean mask (``Node.mask``): full-text terms
-resolve through the inverted index (sorted doc_id membership via
-searchsorted — a broadcast semi-join, no shuffle), phrases intersect
-term postings and verify adjacency against the batch's own text column,
-field clauses are vectorized Arrow comparisons, and the boolean
-operators combine masks.  ``filter_by_query_string`` applies the mask as
-a streaming ``map_batches`` filter.
+Evaluation is a per-batch boolean mask (``Node.mask``): full-text
+clauses scan the batch's tokenized text column, field clauses are
+vectorized Arrow comparisons, and the boolean operators combine masks.
+With an index, ``preresolve_index_clauses`` first resolves the
+full-text clauses on the driver to sorted doc_id arrays (``IdSet``,
+membership via searchsorted — a broadcast semi-join, no shuffle).
+``filter_by_query_string`` applies the mask as a streaming
+``map_batches`` filter.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ _CMP = re.compile(r"^(>=|<=|>|<)(.+)$")
 
 @dataclass
 class EvalCtx:
-    reader: object | None = None   # IndexReader for full-text clauses
     text_col: str = "text"
     id_col: str = "doc_id"
 
@@ -63,16 +63,6 @@ class Term(Node):
 
     def mask(self, batch, ctx):
         toks = tokenize(self.text)
-        if ctx.reader is not None and ctx.id_col in batch.column_names:
-            ids = None
-            for t in toks:
-                dec = ctx.reader.postings_decoded(t)
-                d = dec[0] if dec is not None else np.array([], dtype=np.int64)
-                ids = d if ids is None else np.intersect1d(ids, d)
-            if ids is None:
-                ids = np.array([], dtype=np.int64)
-            return _id_member_mask(ids, batch, ctx)
-        # no index: scan the text column
         col = tokenize_column(batch[ctx.text_col])
         out = np.ones(batch.num_rows, dtype=bool)
         for t in toks:
@@ -109,17 +99,6 @@ class Phrase(Node):
         cand = Term(" ".join(toks)).mask(batch, ctx)
         if not cand.any():
             return cand
-        if ctx.reader is not None and getattr(ctx.reader, "has_positions", False) \
-                and ctx.id_col in batch.column_names:
-            # index-native phrase: positional windows, no text access
-            phrase_docs = _phrase_docs_from_positions(ctx.reader, toks,
-                                                      self.slop)
-            doc_ids = batch[ctx.id_col].to_numpy(zero_copy_only=False)
-            if len(phrase_docs) == 0:
-                return np.zeros(len(doc_ids), dtype=bool)
-            pos = np.minimum(np.searchsorted(phrase_docs, doc_ids),
-                             len(phrase_docs) - 1)
-            return cand & (phrase_docs[pos] == doc_ids)
         # verify positions against the batch's own text
         texts = batch[ctx.text_col].to_pylist()
         out = np.zeros(batch.num_rows, dtype=bool)
@@ -241,11 +220,17 @@ def _token_hit_mask(col, hit: np.ndarray, num_rows: int) -> np.ndarray:
     return per_row[:num_rows] > 0
 
 
-def _like_pattern(pattern: str) -> str:
+def like_pattern(pattern: str) -> str:
     """Lucene wildcard -> SQL LIKE (``*``->%, ``?``->_), literal %/_
     escaped."""
     return (pattern.replace("%", r"\%").replace("_", r"\_")
             .replace("*", "%").replace("?", "_"))
+
+
+def full_match(pattern: str) -> str:
+    """A Lucene regexp body as an RE2 pattern that must match the whole
+    term (or field value), as ``regexp_full_match`` does."""
+    return f"^(?:{pattern})$"
 
 
 @dataclass
@@ -253,18 +238,14 @@ class Wildcard(Node):
     """Full-text wildcard term (``inter*``, ``s?ark``) — ES query_string
     passes these to Lucene's wildcard query (the reference forwards user
     strings verbatim, /root/reference/app/helpers/es.py:238-250).  With
-    an index: term-dictionary expansion (sorted, clause-capped) and a
-    union of posting lists.  Without: vectorized LIKE over the batch's
-    tokenized text column."""
+    an index (``preresolve_index_clauses``): term-dictionary expansion
+    (sorted, clause-capped) and a union of posting lists.  The mask is
+    the scan: vectorized LIKE over the batch's tokenized text column."""
     text: str
 
     def mask(self, batch, ctx):
-        if ctx.reader is not None and ctx.id_col in batch.column_names:
-            ids = _union_postings(ctx.reader,
-                                  ctx.reader.terms_matching(self.text))
-            return _id_member_mask(ids, batch, ctx)
         col = tokenize_column(batch[ctx.text_col])
-        hit = pc.match_like(col.flatten(), _like_pattern(self.text)) \
+        hit = pc.match_like(col.flatten(), like_pattern(self.text)) \
             .to_numpy(zero_copy_only=False)
         return _token_hit_mask(col, hit, batch.num_rows)
 
@@ -272,26 +253,22 @@ class Wildcard(Node):
 @dataclass
 class Fuzzy(Node):
     """Lucene fuzzy term ``term~N`` (bare ``~`` = 2, Lucene's AUTO cap):
-    every term within N Levenshtein edits matches.  With an index:
-    dictionary expansion via the vectorized DP (query/fuzzy.py) + a
-    posting-list union.  Without: distances computed once per DISTINCT
-    token in the batch, then mapped back by membership."""
+    every term within N Levenshtein edits matches.  With an index
+    (``preresolve_index_clauses``): dictionary expansion via the
+    vectorized DP (query/fuzzy.py) + a posting-list union.  The mask is
+    the scan: distances computed once per DISTINCT token in the batch,
+    then mapped back by membership."""
     text: str
     max_dist: int = 2
 
     def mask(self, batch, ctx):
         from .fuzzy import levenshtein_within
 
-        if ctx.reader is not None and ctx.id_col in batch.column_names:
-            ids = _union_postings(
-                ctx.reader, ctx.reader.terms_fuzzy(self.text, self.max_dist))
-            return _id_member_mask(ids, batch, ctx)
         col = tokenize_column(batch[ctx.text_col])
         flat = col.flatten()
         uniq = pc.unique(flat)
-        u = uniq.to_pylist()
         good = uniq.filter(pa.array(levenshtein_within(
-            self.text, u, self.max_dist)))
+            self.text, uniq, self.max_dist)))
         hit = pc.is_in(flat, value_set=good).to_numpy(zero_copy_only=False)
         return _token_hit_mask(col, hit, batch.num_rows)
 
@@ -305,17 +282,13 @@ class Regexp(Node):
     field: str | None = None
 
     def mask(self, batch, ctx):
-        rx = f"^(?:{self.pattern})$"
+        rx = full_match(self.pattern)
         if self.field is not None:
             if self.field not in batch.column_names:
                 return np.zeros(batch.num_rows, dtype=bool)
             m = pc.match_substring_regex(
                 pc.cast(batch[self.field], pa.string()), rx)
             return pc.fill_null(m, False).to_numpy(zero_copy_only=False)
-        if ctx.reader is not None and ctx.id_col in batch.column_names:
-            ids = _union_postings(ctx.reader,
-                                  ctx.reader.terms_regex(self.pattern))
-            return _id_member_mask(ids, batch, ctx)
         col = tokenize_column(batch[ctx.text_col])
         hit = pc.match_substring_regex(col.flatten(), rx) \
             .to_numpy(zero_copy_only=False)
@@ -332,7 +305,7 @@ class FieldWildcard(Node):
         if self.field not in batch.column_names:
             return np.zeros(batch.num_rows, dtype=bool)
         col = batch[self.field]
-        like = _like_pattern(self.pattern)
+        like = like_pattern(self.pattern)
         if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
@@ -661,7 +634,7 @@ def preresolve_index_clauses(node: Node, reader) -> Node:
     if isinstance(node, Regexp) and node.field is None:
         return IdSet(_union_postings(reader,
                                      reader.terms_regex(node.pattern)))
-    if isinstance(node, Phrase) and getattr(reader, "has_positions", False):
+    if isinstance(node, Phrase) and reader.has_positions:
         toks = tokenize(node.text)
         # df gate (the search_and pattern): positional resolution runs
         # on the DRIVER and its cost scales with the rarest term's
@@ -693,14 +666,12 @@ def filter_by_query_string(ds, query: str, *, reader=None,
     With a ``reader``, index-answerable clauses are resolved driver-side
     to sorted id arrays (``preresolve_index_clauses``) when the dataset
     carries ``id_col`` — the map tasks then evaluate pure vectorized
-    membership, never touching the index."""
+    membership.  Without ``id_col`` every clause scans the text column.
+    Either way the map tasks never ship the reader."""
     ast = parse_query_string(query, default_operator)
-    if reader is not None:
-        names = ds.schema().names if hasattr(ds, "schema") else []
-        if id_col in names:
-            ast = preresolve_index_clauses(ast, reader)
-            reader = None  # nothing left needs it; don't ship it
-    ctx = EvalCtx(reader=reader, text_col=text_col, id_col=id_col)
+    if reader is not None and id_col in ds.schema().names:
+        ast = preresolve_index_clauses(ast, reader)
+    ctx = EvalCtx(text_col=text_col, id_col=id_col)
 
     def f(b: pa.Table) -> pa.Table:
         return b.filter(pa.array(ast.mask(b, ctx)))

@@ -2,10 +2,18 @@
 
 One ``IndexReader`` instance per query actor — loaded once in the actor's
 ``__init__`` (stats + doclens), per-term posting runs fetched lazily from
-the term's segment bucket and cached.  A per-bucket term directory,
-built from the term and df columns on the bucket's first lookup, maps
-each term to its (file, row group, row) locations: a lookup then reads
-only those row groups, and an absent term reads no file at all.
+the term's segment bucket and cached.  One scan site
+(``_bucket_files``) globs a bucket once, holds each segment file open
+and reads its term and df columns once; two views are built from it:
+
+- a per-bucket term directory, built on the bucket's first point
+  lookup, maps each term to its (file, row group, row) locations: a
+  lookup then reads only those row groups, and an absent term reads
+  no file at all;
+- a reader-wide term dictionary (term-sorted Arrow strings + summed
+  df), built on the first expansion or rarity call, answers wildcard,
+  regexp and fuzzy expansion and ``rarest_terms`` without another file
+  read.
 
 Scale path: doclens as doc-partitioned shards per query shard; here (dense
 doc_ids, sandbox scale) a single int32 numpy array.
@@ -15,15 +23,20 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import heapq
 import itertools
 import json
 import os
 import zlib
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..index.codec import EncodedRun
+from .fuzzy import levenshtein_within
+from .parse import full_match, like_pattern
 
 # the segment columns a reader needs to rebuild one row's run (one per
 # EncodedRun field): BM25 and boolean reads project only these, so a
@@ -79,28 +92,42 @@ class IndexReader:
         self._decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._decoded_postings = 0
         self.decoded_cache_limit = 50_000_000  # postings held decoded
-        self._meta_df_cache: list[tuple[str, int]] | None = None
+        # the persisted build flag; append and compaction trust it too
+        self.has_positions: bool = self.stats.get("store_positions", False)
+        self._files: dict[int, list[tuple[pq.ParquetFile, pa.Table]]] = {}
         self._dirs: dict[int, dict[str, list]] = {}
+        self._dict: tuple[pa.Array, np.ndarray] | None = None
+        self._rarity: np.ndarray | None = None
+
+    def _bucket_files(self, bucket: int) -> list:
+        """The one segment scan: ``bucket``'s files as (held
+        ``ParquetFile``, its term and df columns), globbed, opened and
+        read once per reader — the term directory and the term
+        dictionary are both built from it."""
+        files = self._files.get(bucket)
+        if files is None:
+            files = []
+            for p in sorted(glob.glob(os.path.join(
+                    self.segments_dir, f"bucket={bucket}", "**",
+                    "*.parquet"), recursive=True)):
+                pf = pq.ParquetFile(p)
+                files.append((pf, pf.read(columns=["term", "df"],
+                                          use_threads=False)))
+            self._files[bucket] = files
+        return files
 
     def _directory(self, term: str) -> dict[str, list]:
         """The term directory of ``term``'s bucket, built on first use:
-        term -> [summed segment df, [(file, row group, row), ...]].  Each
-        segment file is opened once and held, so its footer is parsed
-        once; only the term and df columns are read to build it."""
+        term -> [summed segment df, [(file, row group, row), ...]]."""
         bucket = zlib.crc32(term.encode()) % self.num_buckets
         found = self._dirs.get(bucket)
         if found is not None:
             return found
         found = {}
-        paths = sorted(glob.glob(os.path.join(
-            self.segments_dir, f"bucket={bucket}", "**", "*.parquet"),
-            recursive=True))
-        for p in paths:
-            pf = pq.ParquetFile(p)
+        for pf, t in self._bucket_files(bucket):
             md = pf.metadata
             locs = [(pf, g, row) for g in range(md.num_row_groups)
                     for row in range(md.row_group(g).num_rows)]
-            t = pf.read(columns=["term", "df"], use_threads=False)
             for name, df, loc in zip(t["term"].to_pylist(),
                                      t["df"].to_pylist(), locs):
                 entry = found.setdefault(name, [0, []])
@@ -199,65 +226,43 @@ class IndexReader:
         entry = self._directory(term).get(term)
         return entry[0] if entry is not None else 0
 
+    def _dictionary(self) -> tuple[pa.Array, np.ndarray]:
+        """The reader-wide term dictionary, built on first use from every
+        bucket's term/df columns: (terms, summed segment df), sorted by
+        term.  Cached — the index is immutable per reader version."""
+        if self._dict is None:
+            tabs = [t for b in range(self.num_buckets)
+                    for _, t in self._bucket_files(b)]
+            t = pa.concat_tables(tabs) if tabs else pa.table(
+                {"term": pa.array([], pa.string()),
+                 "df": pa.array([], pa.int64())})
+            # a sort, then a df sum over each run of equal terms (a term
+            # has one row per doc-range and part file): about half the
+            # cost of a hash group_by followed by the same sort
+            terms = t["term"].combine_chunks()
+            order = pc.array_sort_indices(terms)
+            runs = pc.run_end_encode(terms.take(order))
+            cum = np.cumsum(t["df"].to_numpy()[order.to_numpy()])
+            self._dict = (runs.values, np.diff(
+                cum[runs.run_ends.to_numpy() - 1], prepend=0))
+        return self._dict
+
+    def _expand(self, hit, what: str, limit: int) -> list[str]:
+        """The dictionary terms under the boolean mask ``hit`` — sorted,
+        as the dictionary is.  Raises ``ValueError`` above ``limit``
+        terms (the ES ``max_clause_count`` analogue): a bare ``*`` at
+        web scale would otherwise union the whole dictionary."""
+        out = self._dictionary()[0].filter(hit)
+        if len(out) > limit:
+            raise ValueError(f"{what} expands to >{limit} terms")
+        return out.to_pylist()
+
     def terms_matching(self, pattern: str, limit: int = 1024) -> list[str]:
         """Expand a Lucene wildcard pattern (``*`` = any run, ``?`` = one
-        char) against the index's term dictionary.
-
-        A trailing-``*`` prefix pattern reads only the prefix's term
-        range (parquet predicate pushdown over the term-sorted segment
-        row groups — terms are crc32-bucketed across directories, so
-        every bucket is range-scanned, but within each file only the
-        matching row groups decode).  Any other pattern scans the full
-        term column once.  Deterministic: the expansion is sorted.
-        Raises ``ValueError`` above ``limit`` distinct terms (the ES
-        ``max_clause_count`` analogue) — a bare ``*`` at web scale would
-        otherwise union the whole dictionary.
-        """
-        import pyarrow.compute as pc
-
-        paths = glob.glob(os.path.join(self.segments_dir, "**", "*.parquet"),
-                          recursive=True)
-        body = pattern[:-1] if pattern.endswith("*") else None
-        prefix = body if body and not any(c in "*?" for c in body) else None
-        filters = None
-        if prefix is not None:
-            # tokens are [a-z0-9]+ and 0x7f sorts above both ranges, so
-            # [prefix, prefix+\x7f) covers exactly the prefix interval
-            filters = [("term", ">=", prefix), ("term", "<", prefix + "\x7f")]
-        like = (pattern.replace("%", r"\%").replace("_", r"\_")
-                .replace("*", "%").replace("?", "_"))
-        out: set[str] = set()
-        for p in paths:
-            col = pq.read_table(p, columns=["term"], filters=filters)["term"]
-            hit = col.filter(pc.match_like(col, like))
-            out.update(hit.to_pylist())
-            if len(out) > limit:
-                raise ValueError(
-                    f"wildcard {pattern!r} expands to >{limit} terms")
-        return sorted(out)
-
-    def _meta_df_sorted(self) -> list[tuple[str, int]]:
-        """(term, metadata-df) for the WHOLE dictionary, df asc / term
-        asc — one vectorized pyarrow group_by over the concatenated
-        segment metadata columns (no per-row Python), cached on the
-        reader (the index is immutable per reader version)."""
-        if self._meta_df_cache is None:
-            import pyarrow as pa
-
-            paths = glob.glob(
-                os.path.join(self.segments_dir, "**", "*.parquet"),
-                recursive=True)
-            tabs = [pq.read_table(p, columns=["term", "df"]) for p in paths]
-            t = pa.concat_tables(tabs) if tabs else \
-                pa.table({"term": pa.array([], type=pa.string()),
-                          "df": pa.array([], type=pa.int64())})
-            agg = t.group_by("term").aggregate([("df", "sum")]) \
-                .sort_by([("df_sum", "ascending"), ("term", "ascending")])
-            self._meta_df_cache = list(zip(
-                agg["term"].to_pylist(),
-                (int(x) for x in agg["df_sum"].to_numpy(
-                    zero_copy_only=False))))
-        return self._meta_df_cache
+        char) against the term dictionary: one ``match_like`` over it.
+        Sorted and clause-capped (``_expand``)."""
+        hit = pc.match_like(self._dictionary()[0], like_pattern(pattern))
+        return self._expand(hit, f"wildcard {pattern!r}", limit)
 
     def rarest_terms(self, k: int) -> list[tuple[str, int]]:
         """The k rarest index terms by document frequency (df asc, term
@@ -267,44 +272,43 @@ class IndexReader:
         tombstones present, metadata df overcounts, so the smallest
         candidates are re-verified against filtered postings before the
         cut."""
-        cand = self._meta_df_sorted()
-        if self.deleted is None:
-            return cand[:k]
+        terms, meta = self._dictionary()
+        if self._rarity is None:
+            # stable over the term-sorted arrays: (df asc, term asc)
+            self._rarity = np.argsort(meta, kind="stable")
+        order = self._rarity
+        if self.deleted is None or k <= 0:
+            return list(zip(terms.take(order[:k]).to_pylist(),
+                            meta[order[:k]].tolist()))
         # metadata df is an UPPER bound under tombstones (true_df >=
         # meta_df - n_tombstones), so verify candidates in ascending
         # metadata order and stop once no unverified term can still
-        # beat the kth verified df
+        # beat the kth verified df.  The k best verified so far sit in a
+        # heap as (-df, -i), worst on top; i (the term-sorted index)
+        # orders ties by term
         n_tomb = int(self.deleted.sum())
-        verified: list[tuple[str, int]] = []
-        for s, meta in cand:
-            if len(verified) >= k:
-                kth = sorted(verified, key=lambda kv: (kv[1], kv[0]))[k - 1]
-                if meta - n_tomb > kth[1]:
-                    break
-            d = self.df(s)
+        best: list[tuple[int, int]] = []
+        for i in order:
+            if len(best) == k and meta[i] - n_tomb > -best[0][0]:
+                break
+            d = self.df(terms[i].as_py())
             if d > 0:
-                verified.append((s, d))
-        return sorted(verified, key=lambda kv: (kv[1], kv[0]))[:k]
+                item = (-d, -int(i))
+                if len(best) < k:
+                    heapq.heappush(best, item)
+                elif item > best[0]:
+                    heapq.heapreplace(best, item)
+        return [(terms[-ni].as_py(), -nd)
+                for nd, ni in sorted(best, reverse=True)]
 
     def terms_regex(self, pattern: str, limit: int = 1024) -> list[str]:
         """Expand a Lucene regexp term (``/pattern/``, full-match
         semantics) against the term dictionary — RE2 via Arrow, matching
         DuckDB ``regexp_full_match`` in the oracle.  Sorted, clause-
         capped like ``terms_matching``."""
-        import pyarrow.compute as pc
-
-        paths = glob.glob(os.path.join(self.segments_dir, "**", "*.parquet"),
-                          recursive=True)
-        rx = f"^(?:{pattern})$"
-        out: set[str] = set()
-        for p in paths:
-            col = pq.read_table(p, columns=["term"])["term"]
-            hit = col.filter(pc.match_substring_regex(col, rx))
-            out.update(hit.to_pylist())
-            if len(out) > limit:
-                raise ValueError(
-                    f"regexp /{pattern}/ expands to >{limit} terms")
-        return sorted(out)
+        hit = pc.match_substring_regex(self._dictionary()[0],
+                                       full_match(pattern))
+        return self._expand(hit, f"regexp /{pattern}/", limit)
 
     def terms_fuzzy(self, term: str, max_dist: int,
                     limit: int = 1024) -> list[str]:
@@ -312,28 +316,9 @@ class IndexReader:
         dictionary: every indexed term within ``max_dist`` Levenshtein
         edits (vectorized DP across candidates, query/fuzzy.py).  Sorted,
         deterministic, clause-capped like ``terms_matching``."""
-        from .fuzzy import levenshtein_within
-
-        paths = glob.glob(os.path.join(self.segments_dir, "**", "*.parquet"),
-                          recursive=True)
-        out: set[str] = set()
-        for p in paths:
-            cands = pq.read_table(p, columns=["term"])["term"].to_pylist()
-            hit = levenshtein_within(term, cands, max_dist)
-            out.update(c for c, h in zip(cands, hit) if h)
-            if len(out) > limit:
-                raise ValueError(
-                    f"fuzzy {term!r}~{max_dist} expands to >{limit} terms")
-        return sorted(out)
-
-    @property
-    def has_positions(self) -> bool:
-        if not hasattr(self, "_has_pos"):
-            paths = glob.glob(os.path.join(self.segments_dir, "**",
-                                           "*.parquet"), recursive=True)
-            self._has_pos = bool(paths) and "positions" in \
-                pq.read_schema(paths[0]).names
-        return self._has_pos
+        hit = pa.array(levenshtein_within(term, self._dictionary()[0],
+                                          max_dist))
+        return self._expand(hit, f"fuzzy {term!r}~{max_dist}", limit)
 
     def positions(self, term: str):
         """(doc_ids, tfs, flat_positions) for a positional index, else

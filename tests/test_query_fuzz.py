@@ -76,7 +76,7 @@ _query = st.tuples(
 @settings(max_examples=200, deadline=None)
 def test_index_path_equals_scan_path(fuzz_env, q, op):
     batch, reader = fuzz_env
-    ctx = EvalCtx(reader=None, text_col="text", id_col="doc_id")
+    ctx = EvalCtx(text_col="text", id_col="doc_id")
     scan = parse_query_string(q, op).mask(batch, ctx)
     resolved = preresolve_index_clauses(parse_query_string(q, op), reader)
     indexed = resolved.mask(batch, ctx)

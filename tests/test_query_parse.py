@@ -29,7 +29,7 @@ def _batch():
     })
 
 
-CTX = EvalCtx(reader=None, text_col="text", id_col="doc_id")
+CTX = EvalCtx(text_col="text", id_col="doc_id")
 
 
 def test_parse_shapes():

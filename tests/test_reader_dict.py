@@ -1,20 +1,30 @@
-"""IndexReader's term directory: a term lookup reads only the row groups
-that hold the term, gives the same runs as a parquet predicate read of
-the whole bucket, and reads nothing at all for an absent term."""
+"""IndexReader's term directory and term dictionary: a term lookup
+reads only the row groups that hold the term, gives the same runs as a
+parquet predicate read of the whole bucket, and reads nothing at all for
+an absent term; wildcard, regexp and fuzzy expansion and rarest_terms
+equal a brute force over every segment file and, once the dictionary is
+built, read no file."""
 
 import glob
 import os
+import re
 import shutil
 import zlib
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray.data
 
 from ee_outliers_ray.corpus import generate_pages
-from ee_outliers_ray.index.build import _row_to_run, build_index
+from ee_outliers_ray.index.build import (_row_to_run, append_to_index,
+                                         build_index)
 from ee_outliers_ray.index.codec import merge_runs, runs_chainable
-from ee_outliers_ray.index.mutate import delete_from_index
+from ee_outliers_ray.index.mutate import compact_index, delete_from_index
+from ee_outliers_ray.query.dsl import build_search, filter_by_dsl
+from ee_outliers_ray.query.parse import filter_by_query_string
 from ee_outliers_ray.query.reader import RUN_COLUMNS, IndexReader
 
 
@@ -129,6 +139,21 @@ def test_absent_terms_none_and_zero_df(parts_index):
             assert r.postings_decoded(s) is None
 
 
+def _spy_reads(monkeypatch, reads: list) -> None:
+    """Record every segment-file open, read and glob in ``reads``."""
+    def spy(name, orig):
+        def wrapped(*a, **kw):
+            reads.append(name)
+            return orig(*a, **kw)
+        return wrapped
+
+    cls = pq.ParquetFile
+    for name in ("read_row_group", "read", "read_row_groups", "__init__"):
+        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    monkeypatch.setattr(pq, "read_table", spy("read_table", pq.read_table))
+    monkeypatch.setattr(glob, "glob", spy("glob", glob.glob))
+
+
 def test_absent_lookup_reads_nothing(parts_index, monkeypatch):
     """Once a bucket has been looked up, a term absent from it is
     answered without opening or reading any segment file."""
@@ -139,17 +164,7 @@ def test_absent_lookup_reads_nothing(parts_index, monkeypatch):
     absent = _absent_in_bucket(r, bucket, 5)
 
     reads: list = []
-    cls = pq.ParquetFile
-
-    def spy(name, orig):
-        def wrapped(*a, **kw):
-            reads.append(name)
-            return orig(*a, **kw)
-        return wrapped
-
-    for name in ("read_row_group", "read", "read_row_groups", "__init__"):
-        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
-    monkeypatch.setattr(pq, "read_table", spy("read_table", pq.read_table))
+    _spy_reads(monkeypatch, reads)
     for s in absent:
         assert r.postings(s) is None
         assert r.meta_df(s) == 0
@@ -158,3 +173,169 @@ def test_absent_lookup_reads_nothing(parts_index, monkeypatch):
     assert r.meta_df(present) > 0 and reads == []
     r._cache.clear()
     assert r.postings(present) is not None and "read_row_group" in reads
+
+
+def _brute_df(reader) -> dict[str, int]:
+    """term -> df summed over every segment file's term/df columns."""
+    out: dict[str, int] = {}
+    for p in _segment_files(reader):
+        t = pq.read_table(p, columns=["term", "df"])
+        for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
+            out[term] = out.get(term, 0) + df
+    return out
+
+
+def _levenshtein(a: str, b: str) -> int:
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+WILDCARDS = ["w00*", "s*", "*ar*", "*9*", "w1?7?", "s?ar*", "?a?a"]
+REGEXPS = ["w1[0-9]*5", "(sp|sh)ar[a-z]", "[a-z]+", "nothing[0-9]"]
+FUZZY = [("spark", 1), ("shard", 2), ("w0042", 1), ("w0042", 2)]
+
+
+@pytest.mark.parametrize("which", ["parts", "deleted"])
+def test_expansions_equal_brute_force(parts_index, deleted_index, which):
+    """(d) every expansion, the clause cap and rarest_terms equal a brute
+    force over every segment file's term/df columns."""
+    idx = parts_index if which == "parts" else deleted_index
+    r = IndexReader(idx)
+    brute = _brute_df(r)
+    terms = sorted(brute)
+    expected = {}
+    for p in WILDCARDS:
+        rx = re.compile(re.escape(p).replace(r"\*", ".*")
+                        .replace(r"\?", "."))
+        want = [t for t in terms if rx.fullmatch(t)]
+        assert r.terms_matching(p) == want, p
+        expected[("terms_matching", p)] = want
+    for p in REGEXPS:
+        want = [t for t in terms if re.fullmatch(p, t)]
+        assert r.terms_regex(p) == want, p
+        expected[("terms_regex", p)] = want
+    for q, d in FUZZY:
+        want = [t for t in terms if _levenshtein(q, t) <= d]
+        assert r.terms_fuzzy(q, d) == want, (q, d)
+        expected[("terms_fuzzy", q, d)] = want
+    # every shape matches something, bar the one meant to be empty
+    assert [k for k, v in expected.items() if not v] == \
+        [("terms_regex", "nothing[0-9]")]
+    # clause cap: exactly len(want) terms pass, one fewer raises
+    for (method, *args), want in expected.items():
+        if len(want) < 2:
+            continue
+        assert getattr(r, method)(*args, limit=len(want)) == want
+        with pytest.raises(ValueError, match="expands to"):
+            getattr(r, method)(*args, limit=len(want) - 1)
+    # rarest_terms: (df asc, term asc); under tombstones the true df
+    # of the filtered postings (pinned by the postings test above)
+    if r.deleted is None:
+        ranked = sorted((df, t) for t, df in brute.items())
+    else:
+        true_df = IndexReader(idx)
+        ranked = sorted((d, t) for t in terms if (d := true_df.df(t)))
+    for k in (0, 1, 7, 40):
+        assert r.rarest_terms(k) == [(t, d) for d, t in ranked[:k]], k
+
+
+def test_repeat_expansion_reads_nothing(parts_index, monkeypatch):
+    """(e) after the first expansion, further expansions of any shape,
+    rarest_terms and point-lookup metadata read no file; and a term
+    directory built first is not read again by the dictionary."""
+    r = IndexReader(parts_index)
+    first = r.terms_matching("w00*")
+    reads: list = []
+    _spy_reads(monkeypatch, reads)
+    assert r.terms_matching("w00*") == first
+    assert r.terms_matching("*ar*") and r.terms_regex("w1[0-9]*5")
+    assert r.terms_fuzzy("spark", 1) and r.rarest_terms(10)
+    assert r.meta_df("the") > 0 and r.meta_df("zzabsent") == 0
+    assert reads == []
+    # the spies are live, and each file's term/df read happens once:
+    # with one bucket's directory built, the dictionary reads the others
+    r2 = IndexReader(parts_index)
+    assert r2.meta_df("the") > 0
+    in_bucket = len(_segment_files(
+        r2, zlib.crc32(b"the") % r2.num_buckets))
+    reads.clear()
+    assert r2.terms_matching("w00*") == first
+    assert reads.count("read") == len(_segment_files(r2)) - in_bucket
+    assert reads.count("__init__") == reads.count("read")
+
+
+def _schema_has_positions(idx: str) -> bool:
+    files = glob.glob(os.path.join(idx, "segments", "**", "*.parquet"),
+                      recursive=True)
+    flags = {"positions" in pq.read_schema(p).names for p in files}
+    assert len(flags) == 1
+    return flags.pop()
+
+
+def test_has_positions_matches_segment_schema(tmp_path):
+    """(f) the persisted store_positions flag equals the segment schema
+    for plain and positional indexes, as built, appended and compacted."""
+    first, second = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(pa.table({"doc_id": range(6), "text": [
+        "alpha beta gamma", "beta alpha", "gamma alpha beta", "alpha beta",
+        "solo here", "beta gamma"]}), first)
+    pq.write_table(pa.table({"doc_id": range(6, 10), "text": [
+        "alpha beta extra", "extra alpha", "beta gamma alpha beta",
+        "gamma beta"]}), second)
+    for pos in (False, True):
+        idx = str(tmp_path / f"idx_{pos}")
+        build_index(first, idx, from_html=False, num_buckets=2,
+                    batch_size=4, store_positions=pos)
+        assert IndexReader(idx).has_positions == _schema_has_positions(idx) \
+            == pos
+        append_to_index([second], idx, from_html=False, batch_size=4)
+        assert IndexReader(idx).has_positions == _schema_has_positions(idx) \
+            == pos
+        delete_from_index(idx, np.array([1, 7], dtype=np.int64))
+        compact_index(idx)
+        r = IndexReader(idx)
+        assert r.deleted is None and r.n_docs == 8
+        assert r.has_positions == _schema_has_positions(idx) == pos
+
+
+def test_used_reader_is_never_shipped(tmp_path):
+    """A reader that has served a lookup holds open ParquetFile handles,
+    which cannot be pickled: filter_by_dsl, build_search and
+    filter_by_query_string (without ``id_col`` in the dataset) must
+    resolve on the driver or scan, never put the reader in a map task,
+    and return the scan path's rows."""
+    rng = np.random.default_rng(11)
+    vocab = ["scan", "scatter", "spark", "shark", "merge", "table", "s"]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pandas(pd.DataFrame({
+        "doc_id": range(40),
+        "text": [" ".join(rng.choice(vocab, size=rng.integers(0, 6)))
+                 for _ in range(40)]})), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, from_html=False, num_buckets=4, batch_size=16)
+    r = IndexReader(idx)
+    assert r.postings("spark") is not None  # now holds open files
+    ds = ray.data.read_parquet(src)
+
+    def ids(out):  # an empty result carries no columns
+        df = out.to_pandas()
+        return sorted(df["doc_id"]) if "doc_id" in df.columns else []
+
+    hits = 0
+    for q in ("sc*", "s?ark OR merge", "spark~1 AND -table",
+              "/s(park|can)/", '"spark merge"', "table"):
+        dsl = {"bool": {"must": [{"query_string": {"query": q}}]}}
+        scan = ids(filter_by_dsl(ds, dsl))
+        hits += bool(scan)
+        assert ids(filter_by_dsl(ds, dsl, reader=r)) == scan, q
+        assert ids(build_search(ds, dsl=dsl, reader=r)) == scan, q
+        assert ids(filter_by_query_string(ds, q, reader=r,
+                                          id_col="no_such_col")) == scan, q
+        assert ids(filter_by_query_string(ds, q, reader=r)) == scan, q
+    assert hits >= 5
