@@ -135,7 +135,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "regexp_search": P.regexp_search,
         "matched_values_highlight": P.matched_values_highlight,
         # BM25 minimum_should_match OR query (the Lucene/ES knob between
-        # pure OR and AND; query/engine.min_match_topk) — post-freeze,
+        # pure OR and AND; TaatSearcher.min_match_topk) — post-freeze,
         # SQL-oracled, in the window's freed slot (see docstring).
         "search_or": P.search_or,
         # --- text analysis ---
@@ -305,7 +305,7 @@ def _min_match_sql(terms=("batch", "merge", "spark", "window"),
                    m: int = 3, k: int = 10) -> str:
     """BM25 minimum_should_match truth in SQL: docs with >= m distinct
     matched terms, scored over the matched terms only (the engine's
-    query/engine.min_match_topk semantics); same formula as _bm25_sql
+    TaatSearcher.min_match_topk semantics); same formula as _bm25_sql
     plus the HAVING floor and the n_matched clause count."""
     terms_list = ", ".join(f"'{t}'" for t in sorted(set(terms)))
     return f"""

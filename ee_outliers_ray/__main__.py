@@ -320,21 +320,19 @@ def _index_cli(args) -> int:
 
             out = compact_index(args.index)
         else:  # query
-            from .query.engine import (BlockMaxPruning, min_match_topk,
+            from .query.engine import (BlockMaxPruning, TaatSearcher,
                                         taat_topk)
             from .query.reader import IndexReader
             from .tokenizer import tokenize
 
             reader = IndexReader(args.index)
             if args.min_match is not None:
-                d, nm, s = min_match_topk(
-                    reader, tuple(sorted(set(tokenize(args.query)))),
-                    args.min_match, args.k)
+                res = TaatSearcher(reader).min_match_topk(
+                    tokenize(args.query), args.min_match, args.k)
                 out = {"query": args.query, "k": args.k,
                        "engine": "min_match", "min_match": args.min_match,
-                       "results": [{"doc_id": int(di), "n_matched": int(m),
-                                    "score": float(si)}
-                                   for di, m, si in zip(d, nm, s)]}
+                       "results": [{"doc_id": di, "n_matched": m,
+                                    "score": si} for di, m, si in res]}
             else:
                 res = (BlockMaxPruning(reader).topk(args.query, args.k)
                        if args.engine == "bmp"

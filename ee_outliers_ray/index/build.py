@@ -50,7 +50,8 @@ import pyarrow.parquet as pq
 
 from ..extract import HtmlExtract
 from ..tokenizer import tokenize_column
-from .codec import EncodedRun, concat_runs, encode_postings, pack_words
+from .codec import (EncodedRun, concat_runs, encode_postings,
+                    gather_positions, pack_words)
 
 DEFAULT_NUM_BUCKETS = 32
 DEFAULT_DOC_RANGE_SIZE = 1 << 20  # doc-range granularity recorded on runs
@@ -458,7 +459,7 @@ class SpimiEncode:
         return spimi_encode_batch(batch, **self.kw)
 
 
-def _merge_bucket_group(group: pa.Table, scope: str = "bucket") -> pa.Table:
+def _merge_bucket_group(group: pa.Table) -> pa.Table:
     """Tiered merge: all runs of one bucket -> one merged run per term,
     term-sorted output; per-term runs byte-concatenated in first_doc
     order.
@@ -477,8 +478,6 @@ def _merge_bucket_group(group: pa.Table, scope: str = "bucket") -> pa.Table:
                            ("first_doc", "ascending")])
     bucket = int(group["bucket"][0].as_py())
     n = group.num_rows
-    rng_col = group["rng"].to_numpy(zero_copy_only=False) \
-        if scope == "bucket_rng" else None
 
     term_arr = group["term"]
     if isinstance(term_arr, pa.ChunkedArray):
@@ -511,14 +510,10 @@ def _merge_bucket_group(group: pa.Table, scope: str = "bucket") -> pa.Table:
     bl_mindl, _ = flat("block_min_dl", np.int32)
     blocks_per_row = l_off[1:] - l_off[:-1]
 
-    # merge-group boundaries: per term, or per (term, doc-range) when
-    # the hierarchical scope is requested (bounded groups at 10^12-doc
-    # scale; the reader concats the resulting per-range segment rows)
+    # merge-group boundaries: one group per term
     change = np.empty(n, dtype=bool)
     change[0] = True
     change[1:] = terms[1:] != terms[:-1]
-    if rng_col is not None:
-        change[1:] |= rng_col[1:] != rng_col[:-1]
     t_starts = np.flatnonzero(change)
     t_ends = np.append(t_starts[1:], n)
 
@@ -541,12 +536,11 @@ def _merge_bucket_group(group: pa.Table, scope: str = "bucket") -> pa.Table:
     l_cum = l_off  # list offsets into flattened block arrays
     for ti, (s, e) in enumerate(zip(t_starts, t_ends)):
         fs, fe = l_cum[s], l_cum[e]
-        out_rng = int(rng_col[s]) if rng_col is not None else 0
         if chainable_term[ti]:
             row = {
                 "term": terms[s],
                 "bucket": bucket,
-                "rng": out_rng,
+                "rng": 0,
                 "first_doc": int(row_first[s]),
                 "df": int(df[s:e].sum()),
                 "payload": b"".join(payloads[s:e]),
@@ -585,14 +579,11 @@ def _merge_bucket_group(group: pa.Table, scope: str = "bucket") -> pa.Table:
                 np.repeat(r.block_min_dl, r.block_len) for r in runs])
             order = np.argsort(d, kind="stable")
             merged = encode_postings(d[order], t[order], dls[order])
-            row = _run_to_row(terms[s], bucket, out_rng, merged)
+            row = _run_to_row(terms[s], bucket, 0, merged)
             if has_pos:
                 # reorder per-posting position lists to the merged doc order
-                cum = np.zeros(len(t) + 1, dtype=np.int64)
-                np.cumsum(t, out=cum[1:])
-                flat_pos = pos_vals[pos_off[s]:pos_off[e]]
-                row["positions"] = np.concatenate(
-                    [flat_pos[cum[k]:cum[k + 1]] for k in order]).tolist()                     if len(order) else []
+                row["positions"] = gather_positions(
+                    pos_vals[pos_off[s]:pos_off[e]], t, order).tolist()
             out_rows.append(row)
     return pa.Table.from_pylist(
         out_rows, schema=_RUN_SCHEMA_POS if has_pos else _RUN_SCHEMA)
@@ -604,7 +595,6 @@ def build_index(pages_path: str, index_dir: str, *,
                 from_html: bool = True,
                 batch_size: int = 8192,
                 concurrency: int | tuple | None = None,
-                merge_scope: str = "bucket",
                 merge_parts: int = 1,
                 store_positions: bool = False,
                 overwrite: bool = False) -> dict:
@@ -751,7 +741,7 @@ def build_index(pages_path: str, index_dir: str, *,
                         pc.greater_equal(t["rng"], rlo),
                         pc.less_equal(t["rng"], rhi)))
                 parts.append(t.filter(mask))
-            m = _merge_bucket_group(pa.concat_tables(parts), merge_scope) \
+            m = _merge_bucket_group(pa.concat_tables(parts)) \
                 if parts else (_RUN_SCHEMA_POS if store_positions
                                else _RUN_SCHEMA).empty_table()
             os.makedirs(seg_dir, exist_ok=True)
@@ -841,8 +831,7 @@ def build_index(pages_path: str, index_dir: str, *,
 
 def append_to_index(new_pages_path, index_dir: str, *,
                     from_html: bool = True,
-                    batch_size: int = 8192,
-                    merge_scope: str = "bucket") -> dict:
+                    batch_size: int = 8192) -> dict:
     """Incrementally index an APPEND batch (new docs with ids beyond the
     existing corpus) into an existing index — the log-structured update
     path: tokenize+encode ONLY the new documents into additional run
@@ -921,5 +910,4 @@ def append_to_index(new_pages_path, index_dir: str, *,
                        num_buckets=num_buckets,
                        doc_range_size=doc_range_size,
                        from_html=from_html, batch_size=batch_size,
-                       merge_scope=merge_scope,
                        store_positions=store_positions)

@@ -266,6 +266,21 @@ def decode_run(run: EncodedRun) -> tuple[np.ndarray, np.ndarray]:
     return out_d, out_t
 
 
+def gather_positions(flat_pos: np.ndarray, tfs: np.ndarray,
+                     sel: np.ndarray) -> np.ndarray:
+    """Position slices of the postings ``sel`` (indices, in the order
+    wanted), concatenated.  ``flat_pos`` holds every posting's in-doc
+    positions back to back, ``tfs[i]`` of them for posting ``i``.  One
+    repeat/arange gather index instead of a slice per posting."""
+    cum = np.zeros(len(tfs) + 1, dtype=np.int64)
+    np.cumsum(tfs, out=cum[1:])
+    lens = cum[sel + 1] - cum[sel]
+    out_start = np.cumsum(lens) - lens
+    idx = np.repeat(cum[sel] - out_start, lens) \
+        + np.arange(int(lens.sum()), dtype=np.int64)
+    return flat_pos[idx]
+
+
 def runs_chainable(runs: list[EncodedRun]) -> bool:
     """True when every run's last doc precedes the next run's first doc
     (runs already sorted by first_doc) — the byte-concat precondition."""

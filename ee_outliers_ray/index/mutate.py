@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .build import _row_to_run, build_index
-from .codec import decode_run, encode_postings
+from .codec import decode_run, encode_postings, gather_positions
 
 
 def _tombstone_files(index_dir: str) -> list[str]:
@@ -122,8 +122,7 @@ def resolve_doc_ids_by_key(index_dir: str, keys, *,
 def upsert_to_index(new_pages_path, index_dir: str, *,
                     key_col: str = "url",
                     from_html: bool = True,
-                    batch_size: int = 8192,
-                    merge_scope: str = "bucket") -> dict:
+                    batch_size: int = 8192) -> dict:
     """Replace-by-key: tombstone old versions, append new ones.
 
     New rows follow the append contract (doc_id beyond every existing
@@ -143,8 +142,7 @@ def upsert_to_index(new_pages_path, index_dir: str, *,
     from .build import append_to_index
 
     stats = append_to_index(new_pages_path, index_dir,
-                            from_html=from_html, batch_size=batch_size,
-                            merge_scope=merge_scope)
+                            from_html=from_html, batch_size=batch_size)
     return {**stats, "n_replaced": int(len(old_ids)),
             "n_tombstones_total": del_info["n_tombstones_total"]}
 
@@ -172,26 +170,18 @@ def _filter_run_row(row: dict, tombs: np.ndarray,
     # (see codec.merge_runs) — exact scores come from the doclens sidecar
     dls = np.repeat(run.block_min_dl.astype(np.int64),
                     run.block_len.astype(np.int64))
-    new_positions = None
-    if has_positions:
-        flat = np.asarray(row["positions"], dtype=np.int32)
-        cum = np.zeros(len(tfs) + 1, dtype=np.int64)
-        np.cumsum(tfs, out=cum[1:])
-        new_positions = np.concatenate(
-            [flat[cum[i]:cum[i + 1]] for i in np.flatnonzero(keep)]) \
-            if keep.any() else flat[:0]
     from .build import _run_to_row
 
     new = encode_postings(doc_ids[keep], tfs[keep], dls[keep])
     out = _run_to_row(row["term"], int(row["bucket"]), int(row["rng"]), new)
     if has_positions:
-        out["positions"] = new_positions.tolist()
+        out["positions"] = gather_positions(
+            np.asarray(row["positions"], dtype=np.int32), tfs,
+            np.flatnonzero(keep)).tolist()
     return out
 
 
-def compact_index(index_dir: str, *,
-                  merge_scope: str = "bucket",
-                  merge_parts: int = 1) -> dict:
+def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
     """Physically remove tombstoned postings and re-run the tiered merge.
 
     One Ray task per runs file (the merge's own partition unit), each
@@ -270,7 +260,6 @@ def compact_index(index_dir: str, *,
                             num_buckets=stats["num_buckets"],
                             doc_range_size=stats["doc_range_size"],
                             from_html=True,
-                            merge_scope=merge_scope,
                             merge_parts=merge_parts,
                             store_positions=stats.get("store_positions",
                                                       False))

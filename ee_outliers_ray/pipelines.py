@@ -368,21 +368,28 @@ def search_or(sf_dir: str,
               terms: tuple[str, ...] = ("batch", "merge", "spark", "window"),
               min_match: int = 3, k: int = 10):
     """BM25-ranked OR query with a ``minimum_should_match`` floor
-    (query/engine.min_match_topk): top-k docs matching >= ``min_match``
-    distinct terms, scored over the matched terms only — the Lucene/ES
-    OR-query knob between pure OR (m=1) and AND (m=len(terms)), which
-    the reference's es_query use cases pass straight to Elasticsearch
-    (/root/reference/app/helpers/es.py:238-250).  Scores rounded for the
-    cross-engine hash compare; schema-stable when empty."""
-    from .query.engine import min_match_topk
+    (``TaatSearcher.min_match_topk``): top-k docs matching >=
+    ``min_match`` distinct terms, scored over the matched terms only —
+    the Lucene/ES OR-query knob between pure OR (m=1) and AND
+    (m=len(terms)), which the reference's es_query use cases pass
+    straight to Elasticsearch (ee-outliers ``app/helpers/es.py:
+    238-250``).  Scores rounded for the cross-engine hash compare;
+    schema-stable when empty."""
+    from .query.engine import TaatSearcher
     from .query.reader import IndexReader
 
-    reader = IndexReader(documents_index(sf_dir))
-    d, nm, s = min_match_topk(reader, terms, min_match, k=k)
+    searcher = TaatSearcher(IndexReader(documents_index(sf_dir)))
+    return _min_match_frame(searcher.min_match_topk(terms, min_match, k))
+
+
+def _min_match_frame(rows: list) -> pd.DataFrame:
+    """(doc_id, n_matched, score) rows as the schema-stable frame of the
+    min_match operators, scores rounded."""
+    cols = list(zip(*rows)) or [(), (), ()]
     return pd.DataFrame({
-        "doc_id": d,
-        "n_matched": nm,
-        "score": duck_round(s, ROUND_SCORE),
+        "doc_id": np.array(cols[0], dtype=np.int64),
+        "n_matched": np.array(cols[1], dtype=np.int64),
+        "score": duck_round(cols[2], ROUND_SCORE),
     })
 
 
@@ -1603,9 +1610,9 @@ def more_like_this(sf_dir: str, doc_id: int = 7, max_terms: int = 5,
 
     Determinism: per-term tf-idf is duck-rounded to 6 dp BEFORE ranking
     on BOTH engines, ties (tfidf desc, term asc); the query itself is
-    engine.min_match_topk (top-(k+1) then drop the source then take k ==
-    filter-then-top-k, since dropping one row keeps the filtered top-k
-    inside the unfiltered top-(k+1)).
+    TaatSearcher.min_match_topk (top-(k+1) then drop the source then
+    take k == filter-then-top-k, since dropping one row keeps the
+    filtered top-k inside the unfiltered top-(k+1)).
 
     Driver-only access pattern: the source row comes from a parquet
     row-filter read (stored fields), postings/df from the index reader
@@ -1613,21 +1620,16 @@ def more_like_this(sf_dir: str, doc_id: int = 7, max_terms: int = 5,
     request, exactly like bm25_topk."""
     import pyarrow.parquet as pq
 
-    from .query.engine import min_match_topk
+    from .query.engine import TaatSearcher
     from .query.reader import IndexReader
     from .tokenizer import tokenize
 
     reader = IndexReader(documents_index(sf_dir))
     t = pq.read_table(_t(sf_dir, "documents"), columns=["doc_id", "text"],
                       filters=[("doc_id", "==", doc_id)])
-    empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
-                          "n_matched": pd.Series(dtype=np.int64),
-                          "score": pd.Series(dtype=np.float64)})
-    if t.num_rows == 0:
-        return empty
-    toks = tokenize(t["text"][0].as_py())
+    toks = tokenize(t["text"][0].as_py()) if t.num_rows else []
     if not toks:
-        return empty
+        return _min_match_frame([])
     terms, tfs = np.unique(np.asarray(toks, dtype=np.str_),
                            return_counts=True)
     dfs = np.array([reader.df(str(x)) for x in terms], dtype=np.float64)
@@ -1635,13 +1637,8 @@ def more_like_this(sf_dir: str, doc_id: int = 7, max_terms: int = 5,
     tfidf = duck_round(tfs.astype(np.float64) * idfv, ROUND_SCORE)
     order = np.lexsort((terms, -tfidf))[:max_terms]
     sel = tuple(sorted(terms[order].tolist()))
-    d, nm, s = min_match_topk(reader, sel, min_match, k=k + 1)
-    keep = d != doc_id
-    return pd.DataFrame({
-        "doc_id": d[keep][:k],
-        "n_matched": nm[keep][:k],
-        "score": duck_round(s[keep][:k], ROUND_SCORE),
-    })
+    res = TaatSearcher(reader).min_match_topk(sel, min_match, k + 1)
+    return _min_match_frame([r for r in res if r[0] != doc_id][:k])
 
 
 def ann_pq(sf_dir: str, k: int = 10, n_queries: int = 5,

@@ -62,8 +62,9 @@ def block_upper_bound(idf_val: float, max_tf: np.ndarray, min_dl: np.ndarray,
 
 def topk_from_scores(doc_ids: np.ndarray, scores: np.ndarray, k: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic top-k: score desc, doc_id asc."""
-    if len(doc_ids) == 0:
+    """Deterministic top-k: score desc, doc_id asc.  ``k <= 0`` selects
+    nothing (the ES ``size: 0`` request)."""
+    if len(doc_ids) == 0 or k <= 0:
         return doc_ids[:0], scores[:0]
     k = min(k, len(doc_ids))
     if len(doc_ids) > 4 * k:

@@ -2,15 +2,17 @@
 
 ``TaatSearcher`` owns everything a score depends on: the reader, the
 (optionally injected, global) N / avgdl / df, and one budgeted cache of
-per-term (doc_ids, weights) vectors.  It scores term-at-a-time into a
-dense float64 accumulator; rare-term queries take a sparse union path.
+per-term (doc_ids, weights) vectors.  Plain top-k and
+``minimum_should_match`` (``min_match_topk``) both scatter term-at-a-time
+into one dense float64 accumulator; one sparse/dense gate (``_sparse``)
+decides only how candidates are found: ``np.unique`` of the terms' ids
+for rare-term requests, a scan of a per-doc mark otherwise.
 ``BlockMaxPruning`` is the same searcher with a range-pruning dense path:
 block-max bounds projected onto fixed doc ranges decide which ranges of
 the cached vectors get scored.  Both follow the determinism contract in
 ``bm25.py`` (float64 accumulation in ascending term order; ties
 score-desc/doc_id-asc), so they return **identical** (doc_id, score)
-lists.  ``min_match_topk`` / ``intersect_terms`` are the standalone
-reader paths for OR-with-floor and AND queries.
+lists.  ``intersect_terms`` is the block-skipping AND path.
 
 Replaces the reference's delegation of ``query_string`` scoring to
 Elasticsearch/Lucene (ee-outliers ``app/helpers/es.py:238-250``).
@@ -59,6 +61,8 @@ class TaatSearcher:
         self.df_lookup: dict[str, int] = {}
         self._acc = np.zeros(len(reader.doclens), dtype=np.float64)
         self._touched = np.zeros(len(reader.doclens), dtype=bool)
+        # per-doc distinct-term counts of min_match requests
+        self._cnt = np.zeros(len(reader.doclens), dtype=np.int16)
         # per-term BM25 weight vectors are query-independent (idf, dl,
         # avgdl are fixed per index) -> cache them; repeat queries reduce
         # to one scatter-add per term
@@ -124,12 +128,18 @@ class TaatSearcher:
 
     def min_match_topk(self, terms, min_match: int, k: int = 10
                        ) -> list[tuple[int, int, float]]:
-        """minimum_should_match BM25 through the searcher's per-term
-        weight cache (the serving path: repeat clauses never re-decode
-        postings).  Identical results to ``engine.min_match_topk`` by
-        the shared union kernel, pinned by pytest; in sharded use the
-        injected global stats flow through ``_term_vec`` exactly as for
-        plain TAAT.  Returns (doc_id, n_matched, score) tuples."""
+        """BM25 top-k with a ``minimum_should_match`` floor — the Lucene/
+        ES OR-query knob the reference reaches through its es_query /
+        query_string use-case configs (ee-outliers
+        ``app/helpers/es.py:238-250``).  Candidates are docs matching at least ``min_match``
+        DISTINCT query terms; each scores the BM25 sum over its matched
+        terms with the same cached per-term weights, injected global
+        stats and ascending-term float64 accumulation as ``topk``; ties
+        (score desc, doc_id asc).  ``min_match=1`` is a pure OR query,
+        ``min_match=len(terms)`` the AND set (``intersect_terms``),
+        BM25-ranked.  Doc shards answer it exactly: their docs are
+        disjoint, so per-shard match counts are complete.  Returns
+        (doc_id, n_matched, score) tuples, scores unrounded."""
         min_match = max(int(min_match), 1)
         tkey = tuple(sorted(set(terms)))
         ckey = ("mm", tkey, min_match, k)
@@ -142,46 +152,55 @@ class TaatSearcher:
             vec = self._term_vec(t)
             if vec is not None and len(vec[0]):
                 vecs.append(vec)
-        if not hasattr(self, "_mm_cnt"):
-            # lazy: only min_match serving pays for the count array;
-            # _acc is shared with plain topk (both reset after use)
-            self._mm_cnt = np.zeros(len(self._acc), dtype=np.int16)
-        d, nm, s = _min_match_from_vecs(
-            vecs, min_match, k, n_docs=len(self._acc),
-            workspace=(self._acc, self._mm_cnt))
-        out = list(zip(d.tolist(), nm.tolist(), s.tolist()))
+        out = []
+        if len(vecs) >= min_match:        # absent terms cannot match
+            acc, cnt = self._acc, self._cnt
+            for ids, w in vecs:
+                acc[ids] += w
+                cnt[ids] += 1
+            cand = _union(vecs) if self._sparse(vecs) \
+                else np.flatnonzero(cnt)
+            keep = cand[cnt[cand] >= min_match]
+            d, s = topk_from_scores(keep, acc[keep], k)
+            out = list(zip(d.tolist(), cnt[d].tolist(), s.tolist()))
+            acc[cand] = 0.0
+            cnt[cand] = 0
         if self.result_cache_size > 0:
             if len(self._results) >= self.result_cache_size:
                 self._results.clear()
             self._results[ckey] = out
         return list(out)
 
+    def _sparse(self, vecs: list) -> bool:
+        """The one sparse/dense gate of top-k and min_match: requests
+        whose postings total under 1/16 of the docs find their
+        candidates as ``np.unique`` of the terms' (sorted) ids, which
+        avoids the O(n_docs) scan that would otherwise floor every query
+        at corpus-size cost; the rest scan a per-doc mark (or, in
+        ``BlockMaxPruning``, prune ranges), since ``np.unique`` over a
+        multi-million-id union was the measured hot loop of hot-term
+        requests."""
+        return sum(len(v[0]) for v in vecs) * 16 < len(self._acc)
+
     def _topk_uncached(self, terms: list[str], k: int
                        ) -> list[tuple[int, float]]:
-        acc = self._acc
         hit_terms, vecs = [], []
-        total_postings = 0
         for t in terms:
             vec = self._term_vec(t)
             if vec is not None:
                 hit_terms.append(t)
                 vecs.append(vec)
-                total_postings += len(vec[0])
         if not vecs:
             return []
-        # sparse path for rare-term queries: candidates come from the
-        # union of the terms' (sorted) posting ids — avoids the
-        # O(n_docs) touched-array scan, which otherwise floors every
-        # query at corpus-size cost regardless of posting length
-        if total_postings * 16 < len(acc):
-            for doc_ids, w in vecs:  # ascending-term order preserved
-                acc[doc_ids] += w
-            cand = np.unique(np.concatenate([v[0] for v in vecs])) \
-                if len(vecs) > 1 else vecs[0][0]
-            d, s = topk_from_scores(cand, acc[cand], k)
-            acc[cand] = 0.0
-            return list(zip(d.tolist(), s.tolist()))
-        return self._topk_dense(hit_terms, vecs, k)
+        if not self._sparse(vecs):
+            return self._topk_dense(hit_terms, vecs, k)
+        acc = self._acc
+        for doc_ids, w in vecs:  # ascending-term order preserved
+            acc[doc_ids] += w
+        cand = _union(vecs)
+        d, s = topk_from_scores(cand, acc[cand], k)
+        acc[cand] = 0.0
+        return list(zip(d.tolist(), s.tolist()))
 
     def _topk_dense(self, terms: list[str], vecs: list, k: int
                     ) -> list[tuple[int, float]]:
@@ -197,6 +216,12 @@ class TaatSearcher:
         acc[cand] = 0.0  # reset only touched entries
         touched[cand] = False
         return list(zip(d.tolist(), s.tolist()))
+
+
+def _union(vecs: list) -> np.ndarray:
+    """Ascending union of the doc ids of ``vecs`` (each already sorted)."""
+    return np.unique(np.concatenate([v[0] for v in vecs])) \
+        if len(vecs) > 1 else vecs[0][0]
 
 
 def taat_topk(reader: IndexReader, query: str, k: int = 10
@@ -288,7 +313,7 @@ class BlockMaxPruning(TaatSearcher):
                 top_d, top_s = topk_from_scores(
                     np.concatenate([top_d, local[keep]]),
                     np.concatenate([top_s, scores[keep]]), k)
-                if len(top_d) >= k:
+                if 0 < k <= len(top_d):
                     theta = top_s[-1]
         return list(zip(top_d.tolist(), top_s.tolist()))
 
@@ -355,106 +380,3 @@ def intersect_terms(reader: IndexReader, terms) -> np.ndarray:
     if not out:
         return np.array([], dtype=np.int64)
     return np.concatenate(out)
-
-
-def min_match_topk(reader: IndexReader, terms, min_match: int, k: int = 10
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BM25 top-k with a ``minimum_should_match`` floor — the Lucene/ES
-    OR-query knob the reference reaches through its es_query /
-    query_string use-case configs (/root/reference/app/helpers/es.py:
-    238-250): candidates are docs matching at least ``min_match``
-    DISTINCT query terms; each candidate scores the BM25 sum over its
-    matched terms with the same per-term weights and the same
-    ascending-term float64 accumulation order as TAAT/BMP; ties
-    (score desc, doc_id asc).  ``min_match=1`` is a pure OR query;
-    ``min_match=len(terms)`` selects exactly the AND set
-    (``intersect_terms``), BM25-ranked.
-
-    Candidate generation is the union of the query terms' postings
-    (query-sized × df — never a corpus scan); the match counter is an
-    int accumulator beside the score accumulator, both sparse over the
-    union.  Reads through ``reader.postings_decoded`` so tombstone
-    filtering applies.  Scale: per doc-shard exactly like TaatSearcher
-    (shard-local unions with injected global stats, heap merge across
-    shards); a WAND-style skip variant (mm-WAND) exists but the exact
-    sparse union is the obviously-correct form and is what the SQL
-    oracle checks.
-
-    Returns (doc_ids, n_matched, scores), scores unrounded.
-    """
-    min_match = max(int(min_match), 1)
-    vecs = []
-    for t in sorted(set(terms)):          # ascending-term sum order
-        dec = reader.postings_decoded(t)
-        if dec is None or not len(dec[0]):
-            continue
-        doc_ids, tfs = dec
-        w = term_weight(tfs, reader.doclens[doc_ids],
-                        idf(reader.n_docs, len(doc_ids)), reader.avgdl)
-        vecs.append((doc_ids, w))
-    return _min_match_from_vecs(vecs, min_match, k,
-                                n_docs=len(reader.doclens))
-
-
-def _min_match_from_vecs(vecs, min_match: int, k: int, *,
-                         n_docs: int | None = None, workspace=None
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared union kernel for both min_match paths (standalone reader
-    and TaatSearcher cached-weight serving): ``vecs`` is the ascending-
-    term list of (sorted doc_ids, BM25 weights).
-
-    Dense/sparse split mirrors ``TaatSearcher._topk_uncached``: rare-
-    term queries take the sorted-union path; hot-term queries (postings
-    a meaningful fraction of the corpus) scatter into dense score +
-    int16 match-count accumulators — the np.unique over a multi-
-    million-id union was the measured hot loop (5.1 -> ~9 QPS on the 2M
-    4-hot-term bench).  Per-doc float64 accumulation stays term-
-    ascending in BOTH paths, so results are bit-identical (pytest pins
-    the paths against each other).  ``workspace`` is an optional
-    (acc, cnt) pair of corpus-length arrays to reuse (zeroed on entry
-    and re-zeroed before return); when absent and the dense gate fires,
-    temporaries are allocated."""
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-             np.zeros(0, dtype=np.float64))
-    if len(vecs) < min_match:             # absent terms cannot match
-        return empty
-    total = sum(len(v[0]) for v in vecs)
-    dense = n_docs is not None and total * 16 >= n_docs
-    if dense:
-        if workspace is not None:
-            acc, cnt = workspace
-        else:
-            acc = np.zeros(n_docs, dtype=np.float64)
-            cnt = np.zeros(n_docs, dtype=np.int16)
-        for ids, w in vecs:               # ascending-term order
-            acc[ids] += w
-            cnt[ids] += 1
-        cand = np.flatnonzero(cnt)
-        keep = cand[cnt[cand] >= min_match]
-        if not len(keep):
-            acc[cand] = 0.0
-            cnt[cand] = 0
-            return empty
-        d, s = topk_from_scores(keep, acc[keep], k)
-        nm = cnt[d].astype(np.int64)
-        acc[cand] = 0.0
-        cnt[cand] = 0
-        return d.astype(np.int64), nm, s
-    uniq, inv = np.unique(np.concatenate([v[0] for v in vecs]),
-                          return_inverse=True)
-    counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-    scores = np.zeros(len(uniq), dtype=np.float64)
-    off = 0
-    for ids, w in vecs:
-        # one doc appears at most once per term -> no duplicate index
-        # within a slice; slice-by-slice += preserves ascending-term
-        # per-doc accumulation order exactly
-        scores[inv[off:off + len(ids)]] += w
-        off += len(ids)
-    keep = counts >= min_match
-    if not keep.any():
-        return empty
-    d, s = topk_from_scores(uniq[keep], scores[keep], k)
-    kept_ids = uniq[keep]
-    nm = counts[keep][np.searchsorted(kept_ids, d)]
-    return d.astype(np.int64), nm, s

@@ -34,7 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..index.codec import EncodedRun
+from ..index.codec import EncodedRun, gather_positions
 from .fuzzy import levenshtein_within
 from .parse import full_match, like_pattern
 
@@ -342,12 +342,8 @@ class IndexReader:
         d = np.concatenate([p[0] for p in parts])
         t = np.concatenate([p[1] for p in parts])
         order = np.argsort(d, kind="stable")
-        cum = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(t, out=cum[1:])
-        flat_pos = np.concatenate(
-            [flat_pos[cum[k]:cum[k + 1]] for k in order]) \
-            if len(order) else flat_pos[:0]
-        return self._filter_positions(d[order], t[order], flat_pos)
+        return self._filter_positions(d[order], t[order],
+                                      gather_positions(flat_pos, t, order))
 
     def _filter_positions(self, d: np.ndarray, t: np.ndarray,
                           flat_pos: np.ndarray):
@@ -357,10 +353,5 @@ class IndexReader:
         keep = ~self.deleted[d]
         if keep.all():
             return d, t, flat_pos
-        cum = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(t, out=cum[1:])
-        kept = np.flatnonzero(keep)
-        flat_pos = np.concatenate(
-            [flat_pos[cum[k]:cum[k + 1]] for k in kept]) \
-            if len(kept) else flat_pos[:0]
-        return d[keep], t[keep], flat_pos
+        return d[keep], t[keep], gather_positions(flat_pos, t,
+                                                  np.flatnonzero(keep))

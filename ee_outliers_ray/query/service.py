@@ -1,9 +1,13 @@
-"""Query service: a pool of Ray actors each holding an IndexReader
-(segments + doclens + stats loaded once per actor), answering BM25 top-k
-with TAAT (or its BMP subclass).  This is the serving-path analogue of the
+"""Query service: Ray actors each holding an IndexReader (segments +
+doclens + stats loaded once per actor), answering BM25 top-k with TAAT
+(or its BMP subclass) and minimum_should_match.  One actor class serves
+both layouts: a replicated pool over one index (``query_pool`` /
+``run_queries``) and the doc shards of ``sharded.ShardedQueryService``,
+which injects global N / avgdl through ``set_global_stats`` and global
+dfs with each request.  This is the serving-path analogue of the
 reference's delegation of query evaluation to the ES cluster
 (/root/reference/app/helpers/es.py:110-141) — scatter queries over the
-pool, each actor evaluates independently against shared index storage."""
+actors, each evaluates independently against shared index storage."""
 
 from __future__ import annotations
 
@@ -16,7 +20,9 @@ class QueryActor:
     same searcher with block-max range pruning on its dense path.  Both
     share the weight cache and result cache (``result_cache=False``
     turns the latter off in either mode) and are rank- AND
-    score-identical (pytest-verified)."""
+    score-identical (pytest-verified).  ``dfs`` on a request (term ->
+    global df, from the sharded service) updates the searcher's df
+    table before it scores."""
 
     def __init__(self, index_dir: str, mode: str = "taat",
                  result_cache: bool = True):
@@ -29,11 +35,32 @@ class QueryActor:
         if not result_cache:
             self.engine.result_cache_size = 0
 
-    def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
+    def stats(self) -> dict:
+        # reader.total_len is tombstone-adjusted (query/reader.py), so
+        # sharded global stats stay exact under LSM deletes
+        return {"n_docs": self.reader.n_docs,
+                "total_len": self.reader.total_len}
+
+    def set_global_stats(self, n_docs: int, avgdl: float) -> None:
+        self.engine.set_global_stats(n_docs, avgdl, {})
+
+    def local_df(self, terms: list[str]) -> dict[str, int]:
+        return {t: self.engine.local_df(t) for t in terms}
+
+    def topk(self, query: str, k: int = 10, dfs: dict | None = None
+             ) -> list[tuple[int, float]]:
+        if dfs:
+            self.engine.add_dfs(dfs)
         return self.engine.topk(query, k)
 
     def topk_batch(self, queries: list[str], k: int = 10) -> list:
         return [self.engine.topk(q, k) for q in queries]
+
+    def min_match(self, terms, m: int, k: int = 10,
+                  dfs: dict | None = None) -> list:
+        if dfs:
+            self.engine.add_dfs(dfs)
+        return self.engine.min_match_topk(terms, m, k)
 
     def min_match_batch(self, requests: list, k: int = 10) -> list:
         """Serve minimum_should_match OR queries: ``requests`` is a list

@@ -1,18 +1,20 @@
 """Doc-sharded query architecture — the 10^12-doc serving layout.
 
-A single QueryActor holding the whole index cannot exist at target
-scale; the standard design (and the one ES used under the reference) is
+A single actor holding the whole index cannot exist at target scale;
+the standard design (and the one ES used under the reference) is
 document partitioning: each shard indexes a doc-id range, queries
-scatter to every shard and the per-shard top-k heaps merge.  Scores are
-directly mergeable ONLY when every shard scores with the GLOBAL corpus
-statistics, so the service:
+scatter to every shard and the per-shard top-k heaps merge.  Each shard
+is served by the same ``service.QueryActor`` the replicated pool uses.
+Scores are directly mergeable ONLY when every shard scores with the
+GLOBAL corpus statistics, so the service:
 
 1. sums N / total_len across shard stats at startup (global avgdl);
 2. resolves each query term's GLOBAL df lazily by fanning out
    ``local_df`` to the shards once per new term (cached);
 3. ships the resolved dfs with the query; each shard's TaatSearcher
    scores its local postings with global idf/avgdl;
-4. merges per-shard top-k lists by (score desc, doc_id asc).
+4. merges per-shard top-k lists by (score desc, doc_id asc) — plain
+   and min_match results alike (``_merge``).
 
 Result: rank- and score-identical to a single index over the union
 (pytest-verified), with per-shard state bounded by the shard's doc
@@ -48,40 +50,20 @@ def build_sharded_index(pages_dir: str, base_dir: str, n_shards: int,
     return dirs
 
 
-@ray.remote
-class ShardActor:
-    def __init__(self, index_dir: str):
-        from .engine import TaatSearcher
-        from .reader import IndexReader
-
-        self.reader = IndexReader(index_dir)
-        self.searcher = TaatSearcher(self.reader)
-
-    def stats(self) -> dict:
-        # reader.total_len is tombstone-adjusted (query/reader.py), so
-        # sharded global stats stay exact under LSM deletes
-        return {"n_docs": self.reader.n_docs,
-                "total_len": self.reader.total_len}
-
-    def set_global_stats(self, n_docs: int, avgdl: float) -> None:
-        self.searcher.set_global_stats(n_docs, avgdl, {})
-
-    def local_df(self, terms: list[str]) -> dict[str, int]:
-        return {t: self.searcher.local_df(t) for t in terms}
-
-    def topk(self, query: str, k: int, dfs: dict[str, int]) -> list:
-        self.searcher.add_dfs(dfs)
-        return self.searcher.topk(query, k)
-
-    def min_match(self, terms: tuple, m: int, k: int,
-                  dfs: dict[str, int]) -> list:
-        self.searcher.add_dfs(dfs)
-        return self.searcher.min_match_topk(terms, m, k)
+def _merge(shard_results: list, k: int) -> list:
+    """Top ``k`` of the per-shard result lists by (score desc, doc_id
+    asc); the score is each tuple's last field ((doc_id, score) and
+    (doc_id, n_matched, score) alike)."""
+    merged = [x for r in shard_results for x in r]
+    merged.sort(key=lambda r: (-r[-1], r[0]))
+    return merged[:max(k, 0)]
 
 
 class ShardedQueryService:
     def __init__(self, shard_dirs: list[str]):
-        self.actors = [ShardActor.remote(d) for d in shard_dirs]
+        from .service import QueryActor
+
+        self.actors = [QueryActor.remote(d) for d in shard_dirs]
         stats = ray.get([a.stats.remote() for a in self.actors])
         self.n_docs = sum(s["n_docs"] for s in stats)
         total_len = sum(s["total_len"] for s in stats)
@@ -100,15 +82,7 @@ class ShardedQueryService:
         return {t: self._df_cache[t] for t in terms}
 
     def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        from ..tokenizer import tokenize
-
-        terms = sorted(set(tokenize(query)))
-        dfs = self._global_dfs(terms)
-        shard_results = ray.get(
-            [a.topk.remote(query, k, dfs) for a in self.actors])
-        merged = [x for r in shard_results for x in r]
-        merged.sort(key=lambda ds_: (-ds_[1], ds_[0]))
-        return merged[:k]
+        return self.topk_many([query], k)[0]
 
     def min_match_topk(self, terms, min_match: int, k: int = 10
                        ) -> list[tuple[int, int, float]]:
@@ -120,20 +94,16 @@ class ShardedQueryService:
         (score desc, doc_id asc)."""
         tkey = tuple(sorted(set(terms)))
         dfs = self._global_dfs(list(tkey))
-        shard_results = ray.get(
-            [a.min_match.remote(tkey, min_match, k, dfs)
-             for a in self.actors])
-        merged = [x for r in shard_results for x in r]
-        merged.sort(key=lambda r: (-r[2], r[0]))
-        return merged[:k]
+        return _merge(ray.get([a.min_match.remote(tkey, min_match, k, dfs)
+                               for a in self.actors]), k)
 
     def topk_many(self, queries: list[str], k: int = 10
                   ) -> list[list[tuple[int, float]]]:
         """Batched serving path: resolve ALL queries' global dfs in one
         fan-out, fire every (query, shard) call asynchronously so the
         shards stay saturated, gather + merge in submission order.
-        Identical results to per-query ``topk`` (same scoring inputs);
-        throughput instead of one driver round-trip per query."""
+        ``topk`` is this on a one-query list; a batch gives throughput
+        instead of one driver round-trip per query."""
         from ..tokenizer import tokenize
 
         per_q_terms = [sorted(set(tokenize(q))) for q in queries]
@@ -143,9 +113,4 @@ class ShardedQueryService:
         for q, terms in zip(queries, per_q_terms):
             dfs = {t: dfs_all[t] for t in terms}
             refs.append([a.topk.remote(q, k, dfs) for a in self.actors])
-        out = []
-        for rs in refs:
-            merged = [x for r in ray.get(rs) for x in r]
-            merged.sort(key=lambda ds_: (-ds_[1], ds_[0]))
-            out.append(merged[:k])
-        return out
+        return [_merge(ray.get(rs), k) for rs in refs]

@@ -305,14 +305,15 @@ def test_index_cli_lifecycle(tmp_path, capsys):
     assert out["n_replaced"] == 1
     res3 = run(["index", "query", "--index", idx, "--query", "zulu"])
     assert [r["doc_id"] for r in res3["results"]] == [100]
-    # minimum_should_match through the CLI: equals the engine function
-    from ee_outliers_ray.query.engine import min_match_topk
+    # minimum_should_match through the CLI: equals the searcher's
+    from ee_outliers_ray.query.engine import TaatSearcher
     from ee_outliers_ray.query.reader import IndexReader
 
     mm = run(["index", "query", "--index", idx, "--query", "alpha beta",
               "--min-match", "2", "-k", "5"])
     assert mm["engine"] == "min_match" and mm["min_match"] == 2
-    d, nm, s = min_match_topk(IndexReader(idx), ("alpha", "beta"), 2, k=5)
-    assert [r["doc_id"] for r in mm["results"]] == d.tolist()
-    assert [r["n_matched"] for r in mm["results"]] == nm.tolist()
+    want = TaatSearcher(IndexReader(idx)).min_match_topk(
+        ("alpha", "beta"), 2, k=5)
+    assert [r["doc_id"] for r in mm["results"]] == [w[0] for w in want]
+    assert [r["n_matched"] for r in mm["results"]] == [w[1] for w in want]
     assert all(r["n_matched"] >= 2 for r in mm["results"])

@@ -8,6 +8,7 @@ from ee_outliers_ray.index.codec import (
     decode_block,
     decode_run,
     encode_postings,
+    gather_positions,
 )
 
 
@@ -177,3 +178,28 @@ def test_write_segment_table_row_groups(tmp_path):
     # predicate pushdown finds single terms
     one = pq.read_table(path, filters=[("term", "=", "t0031")])
     assert one.num_rows == 1 and one["payload"][0].as_py() == payloads[31]
+
+
+def test_gather_positions_equals_naive_slices():
+    """The vectorized gather == one slice per selected posting, for an
+    empty selection, all-tf=1 postings, a reordering and subsets."""
+    def naive(flat, tfs, sel):
+        cum = np.concatenate([[0], np.cumsum(tfs)])
+        parts = [flat[cum[k]:cum[k + 1]] for k in sel]
+        return np.concatenate(parts) if parts else flat[:0]
+
+    rng = np.random.default_rng(5)
+    cases = [(np.array([2, 1, 3]), np.array([], dtype=np.int64)),
+             (np.ones(6, dtype=np.int64), np.array([5, 0, 3])),
+             (np.array([3, 1, 2, 4]), np.array([3, 2, 1, 0]))]
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        tfs = rng.integers(1, 6, size=n)
+        cases.append((tfs, rng.permutation(n)[:int(rng.integers(0, n + 1))]))
+        cases.append((tfs, np.flatnonzero(rng.random(n) < 0.5)))
+    for tfs, sel in cases:
+        flat = rng.integers(0, 10**6, size=int(tfs.sum())).astype(np.int32)
+        got = gather_positions(flat, tfs, sel)
+        want = naive(flat, tfs, sel)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

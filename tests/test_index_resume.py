@@ -1,4 +1,4 @@
-"""Per-partition resume + hierarchical merge scope."""
+"""Per-partition resume + hierarchical merge (``merge_parts``)."""
 
 import json
 import os
@@ -17,27 +17,6 @@ def corpus(tmp_path_factory):
     d = str(tmp_path_factory.mktemp("pages_r"))
     generate_pages(d, total_rows=400, num_files=2, seed=42)
     return d
-
-
-def test_hierarchical_merge_scope_equivalent(corpus, tmp_path):
-    d1 = str(tmp_path / "flat")
-    d2 = str(tmp_path / "hier")
-    build_index(corpus, d1, num_buckets=4, doc_range_size=64, batch_size=100)
-    build_index(corpus, d2, num_buckets=4, doc_range_size=64, batch_size=100,
-                merge_scope="bucket_rng")
-    r1, r2 = IndexReader(d1), IndexReader(d2)
-    for q in ["the data", "w0042", "search engine crawl", "the w0100"]:
-        assert taat_topk(r1, q, 10) == taat_topk(r2, q, 10), q
-    # hierarchical layout really has multiple rows per term
-    import glob
-
-    import pyarrow.parquet as pq
-
-    n_rows_flat = sum(pq.read_metadata(p).num_rows for p in glob.glob(
-        os.path.join(d1, "segments", "**", "*.parquet"), recursive=True))
-    n_rows_hier = sum(pq.read_metadata(p).num_rows for p in glob.glob(
-        os.path.join(d2, "segments", "**", "*.parquet"), recursive=True))
-    assert n_rows_hier > n_rows_flat
 
 
 def test_per_bucket_resume_skip(corpus, tmp_path):

@@ -1,5 +1,5 @@
-"""minimum_should_match BM25 (query/engine.min_match_topk) against an
-independent pure-Python oracle, plus its boundary contracts:
+"""minimum_should_match BM25 (``TaatSearcher.min_match_topk``) against
+an independent pure-Python oracle, plus its boundary contracts:
 min_match=1 == pure OR, min_match=len(terms) == the AND set
 (intersect_terms), absent terms can never satisfy the floor."""
 
@@ -13,7 +13,7 @@ import pytest
 
 from ee_outliers_ray.corpus import generate_pages
 from ee_outliers_ray.index.build import build_index
-from ee_outliers_ray.query.engine import intersect_terms, min_match_topk
+from ee_outliers_ray.query.engine import TaatSearcher, intersect_terms
 from ee_outliers_ray.query.reader import IndexReader
 
 K1, B = 1.2, 0.75
@@ -83,103 +83,87 @@ TERMS4 = ("the", "crawl", "engine", "w0042")
     (("the", "data"), 2),
 ])
 def test_min_match_vs_oracle(index_dir, docs, terms, m):
+    """Cold, result-cache repeat and weight-cache-warm (result cache
+    off) answers all equal the oracle; plain top-k through the same
+    searcher stays unaffected by the min_match state."""
     reader = IndexReader(index_dir)
-    d, nm, s = min_match_topk(reader, terms, m, k=15)
+    searcher = TaatSearcher(reader)
+    got = searcher.min_match_topk(terms, m, k=15)                # cold
     truth = _oracle(docs, terms, m, 15)
-    assert d.tolist() == [r[0] for r in truth]
-    assert nm.tolist() == [r[1] for r in truth]
-    assert np.allclose(s, [r[2] for r in truth], rtol=0, atol=1e-9)
+    assert [r[:2] for r in got] == [r[:2] for r in truth]
+    assert np.allclose([r[2] for r in got], [r[2] for r in truth],
+                       rtol=0, atol=1e-9)
+    assert searcher.min_match_topk(terms, m, k=15) == got        # cached
+    searcher.result_cache_size = 0
+    assert searcher.min_match_topk(terms, m, k=15) == got        # warm
+    assert searcher.topk("the data", k=5) == \
+        TaatSearcher(reader).topk("the data", k=5)
 
 
 def test_min_match_full_and_equals_intersection(index_dir):
     """m = len(terms) selects exactly the AND set (top-k of it)."""
     reader = IndexReader(index_dir)
     terms = ("the", "data")
-    d, nm, _ = min_match_topk(reader, terms, len(terms), k=10**9)
+    got = TaatSearcher(reader).min_match_topk(terms, len(terms), k=10**9)
     inter = intersect_terms(reader, terms)
-    assert sorted(d.tolist()) == inter.tolist()
-    assert (nm == len(terms)).all()
-
-
-def test_min_match_searcher_equals_standalone(index_dir):
-    """TaatSearcher.min_match_topk (cached-weight serving path) must be
-    identical to the standalone reader function — cold, warm (weight
-    cache hit), and result-cache repeat."""
-    from ee_outliers_ray.query.engine import TaatSearcher
-
-    reader = IndexReader(index_dir)
-    searcher = TaatSearcher(reader)
-    for terms, m in [(TERMS4, 1), (TERMS4, 2), (TERMS4, 4),
-                     (("the", "data"), 2), (("zzz",), 1)]:
-        d, nm, s = min_match_topk(reader, terms, m, k=12)
-        want = list(zip(d.tolist(), nm.tolist(), s.tolist()))
-        assert searcher.min_match_topk(terms, m, k=12) == want   # cold
-        assert searcher.min_match_topk(terms, m, k=12) == want   # cached
-    # plain topk through the same searcher stays unaffected by the
-    # min_match cache entries
-    assert searcher.topk("the data", k=5) == \
-        TaatSearcher(reader).topk("the data", k=5)
+    assert sorted(r[0] for r in got) == inter.tolist()
+    assert all(r[1] == len(terms) for r in got)
 
 
 @pytest.mark.parametrize("terms,m", [(TERMS4, 1), (TERMS4, 2),
                                      (TERMS4, 4), (("the", "data"), 2)])
 def test_min_match_dense_equals_sparse(index_dir, terms, m):
-    """The dense accumulator path and the sorted-union path of the
-    shared kernel must be bit-identical — both forced explicitly on the
-    same weight vectors."""
-    from ee_outliers_ray.query.bm25 import idf, term_weight
-    from ee_outliers_ray.query.engine import _min_match_from_vecs
-
+    """Both sides of the one sparse/dense gate (``TaatSearcher._sparse``),
+    forced on the same index, give bit-identical plain top-k and
+    min_match results, and leave the workspace zeroed."""
     reader = IndexReader(index_dir)
-    vecs = []
-    for t in sorted(set(terms)):
-        dec = reader.postings_decoded(t)
-        if dec is None or not len(dec[0]):
-            continue
-        ids, tfs = dec
-        vecs.append((ids, term_weight(tfs, reader.doclens[ids],
-                                      idf(reader.n_docs, len(ids)),
-                                      reader.avgdl)))
-    sparse = _min_match_from_vecs(vecs, m, 15, n_docs=None)
-    dense = _min_match_from_vecs(vecs, m, 15,
-                                 n_docs=len(reader.doclens))
-    assert sum(len(v[0]) for v in vecs) * 16 >= len(reader.doclens)
-    for a, b in zip(sparse, dense):
-        assert a.tolist() == b.tolist()
+    query = " ".join(terms)
+    out = []
+    for sparse in (True, False):
+        searcher = TaatSearcher(reader)
+        searcher._sparse = lambda vecs, v=sparse: v
+        out.append((searcher.topk(query, k=15),
+                    searcher.min_match_topk(terms, m, k=15)))
+        assert not searcher._acc.any() and not searcher._cnt.any()
+        assert not searcher._touched.any()
+    assert out[0] == out[1]
+    # unforced, these terms take the dense side
+    plain = TaatSearcher(reader)
+    decoded = [reader.postings_decoded(t) for t in terms]
+    assert not plain._sparse([v for v in decoded if v is not None])
+    assert (plain.topk(query, k=15),
+            plain.min_match_topk(terms, m, k=15)) == out[0]
 
 
-def test_min_match_absent_terms(index_dir, docs):
-    reader = IndexReader(index_dir)
+def test_min_match_absent_terms(index_dir):
+    searcher = TaatSearcher(IndexReader(index_dir))
     # an absent clause can never count toward the floor
-    d1, nm1, s1 = min_match_topk(reader, ("the", "zzzmissing"), 1, k=10)
-    d2, nm2, s2 = min_match_topk(reader, ("the",), 1, k=10)
-    assert d1.tolist() == d2.tolist() and s1.tolist() == s2.tolist()
-    # floor above the number of present terms -> schema-stable empty
-    d, nm, s = min_match_topk(reader, ("the", "zzzmissing"), 2, k=10)
-    assert len(d) == len(nm) == len(s) == 0
-    assert d.dtype == np.int64 and nm.dtype == np.int64
-    assert s.dtype == np.float64
+    assert searcher.min_match_topk(("the", "zzzmissing"), 1, k=10) == \
+        searcher.min_match_topk(("the",), 1, k=10)
+    # floor above the number of present terms -> empty
+    assert searcher.min_match_topk(("the", "zzzmissing"), 2, k=10) == []
+    assert searcher.min_match_topk(("zzz",), 1, k=10) == []
     # min_match < 1 coerces to 1 (pure OR), never matches-everything
-    d0, _, _ = min_match_topk(reader, ("w0042",), 0, k=10**9)
-    dflr, _, _ = min_match_topk(reader, ("w0042",), 1, k=10**9)
-    assert d0.tolist() == dflr.tolist()
+    assert searcher.min_match_topk(("w0042",), 0, k=10**9) == \
+        searcher.min_match_topk(("w0042",), 1, k=10**9)
 
 
 def test_more_like_this_edges(ray_session):
-    """Absent source doc -> schema-stable empty; present source is never
-    in its own result; every hit matches >= min_match of the selected
-    terms.  (Value correctness is driver-checked by the SQL oracle in
+    """Absent source doc (and a search_or floor no doc meets) ->
+    schema-stable empty; present source is never in its own result;
+    every hit matches >= min_match of the selected terms.  (Value
+    correctness is checked against the SQL oracle in
     test_oracle_parity.)"""
-    import numpy as np
-
-    from ee_outliers_ray.pipelines import more_like_this
+    from ee_outliers_ray.pipelines import more_like_this, search_or
 
     sf = "/root/testdata/sf0.001"
-    out = more_like_this(sf, doc_id=10**9)
-    assert len(out) == 0
-    assert list(out.columns) == ["doc_id", "n_matched", "score"]
-    assert out["doc_id"].dtype == np.int64
-    assert out["score"].dtype == np.float64
+    for out in (more_like_this(sf, doc_id=10**9),
+                search_or(sf, terms=("merge", "zzzmissing"), min_match=2)):
+        assert len(out) == 0
+        assert list(out.columns) == ["doc_id", "n_matched", "score"]
+        assert out["doc_id"].dtype == np.int64
+        assert out["n_matched"].dtype == np.int64
+        assert out["score"].dtype == np.float64
     res = more_like_this(sf, doc_id=7, min_match=2, k=10)
     assert len(res) > 0
     assert (res["doc_id"] != 7).all()

@@ -5,7 +5,7 @@ import pytest
 
 from ee_outliers_ray.corpus import generate_pages
 from ee_outliers_ray.index.build import build_index
-from ee_outliers_ray.query.engine import taat_topk
+from ee_outliers_ray.query.engine import TaatSearcher, taat_topk
 from ee_outliers_ray.query.reader import IndexReader
 from ee_outliers_ray.query.sharded import ShardedQueryService, build_sharded_index
 
@@ -106,23 +106,20 @@ def test_query_pool_modes_identical(setup):
 
 
 def test_query_actor_min_match_batch(setup):
-    """QueryActor.min_match_batch in both modes == engine.min_match_topk:
-    both serve through the searcher's per-term weight cache."""
+    """QueryActor.min_match_batch in both modes == the single-index
+    ``TaatSearcher.min_match_topk``: both serve through the searcher's
+    per-term weight cache."""
     import ray
 
-    from ee_outliers_ray.query.engine import min_match_topk
     from ee_outliers_ray.query.service import query_pool
 
     single, _ = setup
-    reader = IndexReader(single)
+    searcher = TaatSearcher(IndexReader(single))
     requests = [(("the", "data", "crawl", "w0042"), 1),
                 (("the", "data", "crawl", "w0042"), 3),
                 (("the", "data"), 2),
                 (("absent_term", "the"), 2)]
-    want = []
-    for terms, m in requests:
-        d, nm, s = min_match_topk(reader, terms, m, k=10)
-        want.append(list(zip(d.tolist(), nm.tolist(), s.tolist())))
+    want = [searcher.min_match_topk(terms, m, k=10) for terms, m in requests]
     for mode in ("taat", "bmp"):
         (actor,) = query_pool(single, n_actors=1, mode=mode)
         got = ray.get(actor.min_match_batch.remote(requests, k=10))
@@ -133,10 +130,8 @@ def test_query_actor_min_match_batch(setup):
 def test_sharded_min_match_identical_to_single(setup):
     """Sharded minimum_should_match == single-index min_match_topk:
     shard-disjoint docs + injected global stats -> exact merge."""
-    from ee_outliers_ray.query.engine import min_match_topk
-
     single, dirs = setup
-    reader = IndexReader(single)
+    searcher = TaatSearcher(IndexReader(single))
     svc = ShardedQueryService(dirs)
     cases = [(("the", "data", "crawl", "w0042"), 1),
              (("the", "data", "crawl", "w0042"), 2),
@@ -144,6 +139,25 @@ def test_sharded_min_match_identical_to_single(setup):
              (("the", "data"), 2),
              (("absent_term", "the"), 2)]
     for terms, m in cases:
-        d, nm, s = min_match_topk(reader, terms, m, k=10)
-        want = list(zip(d.tolist(), nm.tolist(), s.tolist()))
-        assert svc.min_match_topk(terms, m, k=10) == want, (terms, m)
+        assert svc.min_match_topk(terms, m, k=10) == \
+            searcher.min_match_topk(terms, m, k=10), (terms, m)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_nonpositive_k_returns_no_hits(setup, k):
+    """k <= 0 is the ES ``size: 0`` request: no hits, no error, from
+    TAAT (sparse and dense), BMP's range loop, min_match and the
+    sharded service alike."""
+    from ee_outliers_ray.query.engine import BlockMaxPruning
+
+    single, dirs = setup
+    reader = IndexReader(single)
+    svc = ShardedQueryService(dirs)
+    for q in ("w0042", "the data"):
+        assert TaatSearcher(reader).topk(q, k) == []
+        assert BlockMaxPruning(reader, range_width=64).topk(q, k) == []
+        assert svc.topk(q, k) == []
+    assert svc.topk_many(["the", "w0042"], k) == [[], []]
+    for terms in (("the", "data"), ("w0042",)):
+        assert TaatSearcher(reader).min_match_topk(terms, 1, k) == []
+        assert svc.min_match_topk(terms, 1, k) == []
