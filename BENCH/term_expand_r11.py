@@ -213,7 +213,7 @@ def main() -> None:
             "big": {"corpus": "seeded random-word text (big_corpus)",
                     "seed": SEED, "docs": BIG_DOCS,
                     "buckets": BIG_BUCKETS}},
-        "terms": {name: len(IndexReader(d)._dictionary()[0])
+        "terms": {name: len(IndexReader(d).directory.dictionary()[0])
                   for name, d in dirs.items()},
         "ops": ops,
         "host": {"cpus": len(os.sched_getaffinity(0)),

@@ -2,9 +2,10 @@
 
 One ``IndexReader`` instance per query actor — loaded once in the actor's
 ``__init__`` (stats + doclens), per-term posting runs fetched lazily from
-the term's segment bucket and cached.  One scan site
-(``_bucket_files``) globs a bucket once, holds each segment file open
-and reads its term and df columns once; two views are built from it:
+the term's segment bucket and cached.  One scan site, ``TermDirectory``
+(which the sharded service also holds per shard, for exact global df
+without an RPC), globs a bucket once, holds each segment file open and
+reads its term and df columns once; two views are built from it:
 
 - a per-bucket term directory, built on the bucket's first point
   lookup, maps each term to its (file, row group, row) locations: a
@@ -47,6 +48,83 @@ RUN_COLUMNS = [f.name for f in dataclasses.fields(EncodedRun)]
 
 def _list_values(t, name: str, row: int) -> np.ndarray:
     return t[name][row].values.to_numpy()
+
+
+class TermDirectory:
+    """The one segment scan site of an index's ``segments_dir`` and its
+    two cached views (module docstring).  Construction does no I/O."""
+
+    def __init__(self, segments_dir: str, num_buckets: int):
+        self.segments_dir = segments_dir
+        self.num_buckets = num_buckets
+        self._files: dict[int, list[tuple[pq.ParquetFile, pa.Table]]] = {}
+        self._dirs: dict[int, dict[str, list]] = {}
+        self._dict: tuple[pa.Array, np.ndarray] | None = None
+
+    def bucket_files(self, bucket: int) -> list:
+        """``bucket``'s files as (held ``ParquetFile``, its term and df
+        columns), globbed, opened and read once per directory."""
+        files = self._files.get(bucket)
+        if files is None:
+            files = []
+            for p in sorted(glob.glob(os.path.join(
+                    self.segments_dir, f"bucket={bucket}", "**",
+                    "*.parquet"), recursive=True)):
+                pf = pq.ParquetFile(p)
+                files.append((pf, pf.read(columns=["term", "df"],
+                                          use_threads=False)))
+            self._files[bucket] = files
+        return files
+
+    def lookup(self, term: str) -> list | None:
+        """``term``'s entry in its bucket's directory (built on the
+        bucket's first lookup): [summed segment df, [(file, row group,
+        row), ...]], or None for an absent term."""
+        bucket = zlib.crc32(term.encode()) % self.num_buckets
+        found = self._dirs.get(bucket)
+        if found is None:
+            found = {}
+            for pf, t in self.bucket_files(bucket):
+                md = pf.metadata
+                locs = [(pf, g, row) for g in range(md.num_row_groups)
+                        for row in range(md.row_group(g).num_rows)]
+                for name, df, loc in zip(t["term"].to_pylist(),
+                                         t["df"].to_pylist(), locs):
+                    entry = found.setdefault(name, [0, []])
+                    entry[0] += df
+                    entry[1].append(loc)
+            self._dirs[bucket] = found
+        return found.get(term)
+
+    def df(self, term: str) -> int:
+        """Document frequency from SEGMENT METADATA only (the df column
+        summed when the term's bucket directory is built — no posting
+        payload bytes leave storage).  It equals the run's df in an
+        index without tombstones (``merge_runs`` never drops a
+        posting); under tombstones it is an UPPER bound."""
+        entry = self.lookup(term)
+        return entry[0] if entry is not None else 0
+
+    def dictionary(self) -> tuple[pa.Array, np.ndarray]:
+        """The directory-wide term dictionary, built on first use from
+        every bucket's term/df columns: (terms, summed segment df),
+        sorted by term."""
+        if self._dict is None:
+            tabs = [t for b in range(self.num_buckets)
+                    for _, t in self.bucket_files(b)]
+            t = pa.concat_tables(tabs) if tabs else pa.table(
+                {"term": pa.array([], pa.string()),
+                 "df": pa.array([], pa.int64())})
+            # a sort, then a df sum over each run of equal terms (a term
+            # has one row per doc-range and part file): about half the
+            # cost of a hash group_by followed by the same sort
+            terms = t["term"].combine_chunks()
+            order = pc.array_sort_indices(terms)
+            runs = pc.run_end_encode(terms.take(order))
+            cum = np.cumsum(t["df"].to_numpy()[order.to_numpy()])
+            self._dict = (runs.values, np.diff(
+                cum[runs.run_ends.to_numpy() - 1], prepend=0))
+        return self._dict
 
 
 class IndexReader:
@@ -94,54 +172,15 @@ class IndexReader:
         self.decoded_cache_limit = 50_000_000  # postings held decoded
         # the persisted build flag; append and compaction trust it too
         self.has_positions: bool = self.stats.get("store_positions", False)
-        self._files: dict[int, list[tuple[pq.ParquetFile, pa.Table]]] = {}
-        self._dirs: dict[int, dict[str, list]] = {}
-        self._dict: tuple[pa.Array, np.ndarray] | None = None
+        self.directory = TermDirectory(self.segments_dir, self.num_buckets)
         self._rarity: np.ndarray | None = None
-
-    def _bucket_files(self, bucket: int) -> list:
-        """The one segment scan: ``bucket``'s files as (held
-        ``ParquetFile``, its term and df columns), globbed, opened and
-        read once per reader — the term directory and the term
-        dictionary are both built from it."""
-        files = self._files.get(bucket)
-        if files is None:
-            files = []
-            for p in sorted(glob.glob(os.path.join(
-                    self.segments_dir, f"bucket={bucket}", "**",
-                    "*.parquet"), recursive=True)):
-                pf = pq.ParquetFile(p)
-                files.append((pf, pf.read(columns=["term", "df"],
-                                          use_threads=False)))
-            self._files[bucket] = files
-        return files
-
-    def _directory(self, term: str) -> dict[str, list]:
-        """The term directory of ``term``'s bucket, built on first use:
-        term -> [summed segment df, [(file, row group, row), ...]]."""
-        bucket = zlib.crc32(term.encode()) % self.num_buckets
-        found = self._dirs.get(bucket)
-        if found is not None:
-            return found
-        found = {}
-        for pf, t in self._bucket_files(bucket):
-            md = pf.metadata
-            locs = [(pf, g, row) for g in range(md.num_row_groups)
-                    for row in range(md.row_group(g).num_rows)]
-            for name, df, loc in zip(t["term"].to_pylist(),
-                                     t["df"].to_pylist(), locs):
-                entry = found.setdefault(name, [0, []])
-                entry[0] += df
-                entry[1].append(loc)
-        self._dirs[bucket] = found
-        return found
 
     def _segment_rows(self, term: str, positions: bool = False) -> list:
         """The term's segment rows as (EncodedRun, positions or None),
         in first_doc order; [] for an absent term, with no file read.
         Each touched row group is read once, projected to the run
         columns (plus ``positions`` only when asked for)."""
-        entry = self._directory(term).get(term)
+        entry = self.directory.lookup(term)
         if entry is None:
             return []
         cols = RUN_COLUMNS + ["positions"] if positions else RUN_COLUMNS
@@ -218,41 +257,17 @@ class IndexReader:
         return run.n_postings if run is not None else 0
 
     def meta_df(self, term: str) -> int:
-        """Document frequency from SEGMENT METADATA only (the df column
-        summed when the term directory is built — no posting payload
-        bytes leave storage).  Under tombstones this is an UPPER bound on
-        the true df, which is exactly what a size gate wants: a term that
+        """``TermDirectory.df``: segment-metadata df, an UPPER bound
+        under tombstones — exactly what a size gate wants: a term that
         looks big by metadata is at least as big before deletes."""
-        entry = self._directory(term).get(term)
-        return entry[0] if entry is not None else 0
-
-    def _dictionary(self) -> tuple[pa.Array, np.ndarray]:
-        """The reader-wide term dictionary, built on first use from every
-        bucket's term/df columns: (terms, summed segment df), sorted by
-        term.  Cached — the index is immutable per reader version."""
-        if self._dict is None:
-            tabs = [t for b in range(self.num_buckets)
-                    for _, t in self._bucket_files(b)]
-            t = pa.concat_tables(tabs) if tabs else pa.table(
-                {"term": pa.array([], pa.string()),
-                 "df": pa.array([], pa.int64())})
-            # a sort, then a df sum over each run of equal terms (a term
-            # has one row per doc-range and part file): about half the
-            # cost of a hash group_by followed by the same sort
-            terms = t["term"].combine_chunks()
-            order = pc.array_sort_indices(terms)
-            runs = pc.run_end_encode(terms.take(order))
-            cum = np.cumsum(t["df"].to_numpy()[order.to_numpy()])
-            self._dict = (runs.values, np.diff(
-                cum[runs.run_ends.to_numpy() - 1], prepend=0))
-        return self._dict
+        return self.directory.df(term)
 
     def _expand(self, hit, what: str, limit: int) -> list[str]:
         """The dictionary terms under the boolean mask ``hit`` — sorted,
         as the dictionary is.  Raises ``ValueError`` above ``limit``
         terms (the ES ``max_clause_count`` analogue): a bare ``*`` at
         web scale would otherwise union the whole dictionary."""
-        out = self._dictionary()[0].filter(hit)
+        out = self.directory.dictionary()[0].filter(hit)
         if len(out) > limit:
             raise ValueError(f"{what} expands to >{limit} terms")
         return out.to_pylist()
@@ -261,7 +276,8 @@ class IndexReader:
         """Expand a Lucene wildcard pattern (``*`` = any run, ``?`` = one
         char) against the term dictionary: one ``match_like`` over it.
         Sorted and clause-capped (``_expand``)."""
-        hit = pc.match_like(self._dictionary()[0], like_pattern(pattern))
+        hit = pc.match_like(self.directory.dictionary()[0],
+                            like_pattern(pattern))
         return self._expand(hit, f"wildcard {pattern!r}", limit)
 
     def rarest_terms(self, k: int) -> list[tuple[str, int]]:
@@ -272,7 +288,7 @@ class IndexReader:
         tombstones present, metadata df overcounts, so the smallest
         candidates are re-verified against filtered postings before the
         cut."""
-        terms, meta = self._dictionary()
+        terms, meta = self.directory.dictionary()
         if self._rarity is None:
             # stable over the term-sorted arrays: (df asc, term asc)
             self._rarity = np.argsort(meta, kind="stable")
@@ -306,7 +322,7 @@ class IndexReader:
         semantics) against the term dictionary — RE2 via Arrow, matching
         DuckDB ``regexp_full_match`` in the oracle.  Sorted, clause-
         capped like ``terms_matching``."""
-        hit = pc.match_substring_regex(self._dictionary()[0],
+        hit = pc.match_substring_regex(self.directory.dictionary()[0],
                                        full_match(pattern))
         return self._expand(hit, f"regexp /{pattern}/", limit)
 
@@ -316,8 +332,8 @@ class IndexReader:
         dictionary: every indexed term within ``max_dist`` Levenshtein
         edits (vectorized DP across candidates, query/fuzzy.py).  Sorted,
         deterministic, clause-capped like ``terms_matching``."""
-        hit = pa.array(levenshtein_within(term, self._dictionary()[0],
-                                          max_dist))
+        hit = pa.array(levenshtein_within(
+            term, self.directory.dictionary()[0], max_dist))
         return self._expand(hit, f"fuzzy {term!r}~{max_dist}", limit)
 
     def positions(self, term: str):

@@ -22,7 +22,8 @@ class QueryActor:
     turns the latter off in either mode) and are rank- AND
     score-identical (pytest-verified).  ``dfs`` on a request (term ->
     global df, from the sharded service) updates the searcher's df
-    table before it scores."""
+    table before it scores.  As a shard it is asked ``stats`` once, at
+    service start, and ``local_df`` only if it has tombstones."""
 
     def __init__(self, index_dir: str, mode: str = "taat",
                  result_cache: bool = True):
@@ -37,9 +38,13 @@ class QueryActor:
 
     def stats(self) -> dict:
         # reader.total_len is tombstone-adjusted (query/reader.py), so
-        # sharded global stats stay exact under LSM deletes
+        # sharded global stats stay exact under LSM deletes; segment df
+        # is exact only without them
         return {"n_docs": self.reader.n_docs,
-                "total_len": self.reader.total_len}
+                "total_len": self.reader.total_len,
+                "segments_dir": self.reader.segments_dir,
+                "num_buckets": self.reader.num_buckets,
+                "exact_df": self.reader.deleted is None}
 
     def set_global_stats(self, n_docs: int, avgdl: float) -> None:
         self.engine.set_global_stats(n_docs, avgdl, {})

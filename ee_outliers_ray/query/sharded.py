@@ -9,16 +9,21 @@ Scores are directly mergeable ONLY when every shard scores with the
 GLOBAL corpus statistics, so the service:
 
 1. sums N / total_len across shard stats at startup (global avgdl);
-2. resolves each query term's GLOBAL df lazily by fanning out
-   ``local_df`` to the shards once per new term (cached);
+2. resolves each query term's GLOBAL df on the driver, without an RPC,
+   from a ``TermDirectory`` per shard without tombstones (the summed
+   segment df column, exact there); only a shard with tombstones, where
+   that column is an upper bound, is asked ``local_df`` — once per new
+   term, cached in ``_df_cache``;
 3. ships the resolved dfs with the query; each shard's TaatSearcher
    scores its local postings with global idf/avgdl;
 4. merges per-shard top-k lists by (score desc, doc_id asc) — plain
    and min_match results alike (``_merge``).
 
-Result: rank- and score-identical to a single index over the union
+So a request costs one RPC round when every shard is clean.  Result:
+rank- and score-identical to a single index over the union
 (pytest-verified), with per-shard state bounded by the shard's doc
-range.
+range.  Like a reader, a service is per index version: a mutation
+after it opened is not seen — open a new service.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ def _merge(shard_results: list, k: int) -> list:
 
 class ShardedQueryService:
     def __init__(self, shard_dirs: list[str]):
+        from .reader import TermDirectory
         from .service import QueryActor
 
         self.actors = [QueryActor.remote(d) for d in shard_dirs]
@@ -70,16 +76,23 @@ class ShardedQueryService:
         self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
         ray.get([a.set_global_stats.remote(self.n_docs, self.avgdl)
                  for a in self.actors])
+        # step 2: _df_cache holds only the RPC-resolved part of a df
+        self._directories = [
+            TermDirectory(s["segments_dir"], s["num_buckets"])
+            for s in stats if s["exact_df"]]
+        self._df_actors = [a for a, s in zip(self.actors, stats)
+                           if not s["exact_df"]]
         self._df_cache: dict[str, int] = {}
 
     def _global_dfs(self, terms: list[str]) -> dict[str, int]:
         missing = [t for t in terms if t not in self._df_cache]
-        if missing:
+        if missing and self._df_actors:
             per_shard = ray.get(
-                [a.local_df.remote(missing) for a in self.actors])
+                [a.local_df.remote(missing) for a in self._df_actors])
             for t in missing:
                 self._df_cache[t] = sum(d[t] for d in per_shard)
-        return {t: self._df_cache[t] for t in terms}
+        return {t: self._df_cache.get(t, 0)
+                + sum(d.df(t) for d in self._directories) for t in terms}
 
     def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
         return self.topk_many([query], k)[0]
@@ -99,11 +112,12 @@ class ShardedQueryService:
 
     def topk_many(self, queries: list[str], k: int = 10
                   ) -> list[list[tuple[int, float]]]:
-        """Batched serving path: resolve ALL queries' global dfs in one
-        fan-out, fire every (query, shard) call asynchronously so the
-        shards stay saturated, gather + merge in submission order.
-        ``topk`` is this on a one-query list; a batch gives throughput
-        instead of one driver round-trip per query."""
+        """Batched serving path: resolve ALL queries' global dfs at
+        once (``_global_dfs``: at most one ``local_df`` fan-out, none
+        when every shard is clean), fire every (query, shard) call
+        asynchronously so the shards stay saturated, gather + merge in
+        submission order.  ``topk`` is this on a one-query list; a batch
+        gives throughput instead of one driver round-trip per query."""
         from ..tokenizer import tokenize
 
         per_q_terms = [sorted(set(tokenize(q))) for q in queries]

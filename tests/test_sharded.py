@@ -1,10 +1,14 @@
 """Sharded (doc-partitioned) query service vs a single global index:
 rank- AND score-identical (the global-stats contract)."""
 
+import shutil
+
+import pyarrow.parquet as pq
 import pytest
 
 from ee_outliers_ray.corpus import generate_pages
 from ee_outliers_ray.index.build import build_index
+from ee_outliers_ray.index.mutate import delete_from_index
 from ee_outliers_ray.query.engine import TaatSearcher, taat_topk
 from ee_outliers_ray.query.reader import IndexReader
 from ee_outliers_ray.query.sharded import ShardedQueryService, build_sharded_index
@@ -24,6 +28,11 @@ def setup(tmp_path_factory):
 
 QUERIES = ["the data", "search engine crawl", "w0042 w0100", "the",
            "fast merge w0007", "absent_term", ""]
+MIN_MATCH_CASES = [(("the", "data", "crawl", "w0042"), 1),
+                   (("the", "data", "crawl", "w0042"), 2),
+                   (("the", "data", "crawl", "w0042"), 4),
+                   (("the", "data"), 2),
+                   (("absent_term", "the"), 2)]
 
 
 def test_sharded_identical_to_single(setup):
@@ -67,12 +76,67 @@ def test_bmp_shards_with_global_stats(setup):
 
 
 def test_global_df_cache(setup):
-    _, dirs = setup
+    """Clean shards resolve global df from their term directories: the
+    dfs equal a single index's, and no ``local_df`` result is cached
+    because no ``local_df`` round is made."""
+    single, dirs = setup
+    reader = IndexReader(single)
     svc = ShardedQueryService(dirs)
+    terms = ["absent_term", "data", "the", "w0042"]
+    assert svc._global_dfs(terms) == {t: reader.df(t) for t in terms}
     svc.topk("the data")
-    assert svc._df_cache["the"] > 0
-    # cached second call returns same
+    assert svc._df_cache == {}
     assert svc.topk("the data") == svc.topk("the data")
+
+
+@pytest.fixture(scope="module")
+def two_shards(tmp_path_factory):
+    base = tmp_path_factory.mktemp("two_shards")
+    pages = str(base / "pages")
+    generate_pages(pages, total_rows=400, num_files=4, seed=7)
+    single = str(base / "single")
+    build_index(pages, single, num_buckets=4, batch_size=100)
+    dirs = build_sharded_index(pages, str(base / "shards"), n_shards=2,
+                               num_buckets=4, batch_size=100)
+    return single, dirs
+
+
+@pytest.mark.parametrize("tombstoned", [(), (0,), (0, 1)])
+def test_global_dfs_every_term(two_shards, tmp_path, tombstoned):
+    """Over every term of a two-shard index, the service's global dfs
+    equal the sum of the shards' ``local_df`` and a single index's df,
+    with tombstones on no shard (all from term directories), on one
+    (directory + RPC) and on both (all RPC).  With one shard
+    tombstoned, plain and min_match results also equal the single
+    tombstoned index."""
+    import ray
+
+    single = shutil.copytree(two_shards[0], tmp_path / "single")
+    dirs = [shutil.copytree(d, tmp_path / f"shard{i}")
+            for i, d in enumerate(two_shards[1])]
+    for i in tombstoned:
+        ids = pq.read_table(dirs[i] / "doclens", columns=["doc_id"])
+        drop = ids["doc_id"].to_numpy()[::7]
+        delete_from_index(str(single), drop)
+        delete_from_index(str(dirs[i]), drop)
+    dirs = [str(d) for d in dirs]
+    terms = sorted({t for d in dirs for t in
+                    IndexReader(d).directory.dictionary()[0].to_pylist()})
+    terms.append("zzabsent")
+    reader = IndexReader(str(single))
+    svc = ShardedQueryService(dirs)
+    local = ray.get([a.local_df.remote(terms) for a in svc.actors])
+    got = svc._global_dfs(terms)
+    assert got == {t: sum(d[t] for d in local) for t in terms}
+    assert got == {t: reader.df(t) for t in terms}
+    assert set(svc._df_cache) == (set(terms) if tombstoned else set())
+    if len(tombstoned) == 1:
+        for q in QUERIES:
+            assert svc.topk(q, k=10) == taat_topk(reader, q, k=10), q
+        searcher = TaatSearcher(reader)
+        for ts, m in MIN_MATCH_CASES:
+            assert svc.min_match_topk(ts, m, k=10) == \
+                searcher.min_match_topk(ts, m, k=10), (ts, m)
 
 
 def test_topk_many_equals_per_query(setup):
@@ -133,12 +197,7 @@ def test_sharded_min_match_identical_to_single(setup):
     single, dirs = setup
     searcher = TaatSearcher(IndexReader(single))
     svc = ShardedQueryService(dirs)
-    cases = [(("the", "data", "crawl", "w0042"), 1),
-             (("the", "data", "crawl", "w0042"), 2),
-             (("the", "data", "crawl", "w0042"), 4),
-             (("the", "data"), 2),
-             (("absent_term", "the"), 2)]
-    for terms, m in cases:
+    for terms, m in MIN_MATCH_CASES:
         assert svc.min_match_topk(terms, m, k=10) == \
             searcher.min_match_topk(terms, m, k=10), (terms, m)
 
