@@ -4,7 +4,7 @@
 This layer existed *inside* Elasticsearch/Lucene in the reference (segment
 postings; invisible in /root/reference code — see SURVEY.md §2.4 ST5); here
 it is explicit.  All encode/decode paths are numpy-vectorized — no Python
-per-posting loops.
+per-posting loops; a run decodes in one gather per chunk of blocks.
 
 Layout of one encoded posting run for a term (see ``encode_postings``):
 
@@ -19,7 +19,7 @@ metadata is tiny next to payloads and parquet compresses it):
     block_len      : number of postings in the block (<= BLOCK_SIZE; only
                      the last block of a run is short; after run
                      concatenation interior short blocks may occur and the
-                     decoder handles them)
+                     decoder masks their tails out)
     block_last_doc : last doc_id (skip pointer for block-max pruning)
     block_first_doc: first doc_id (frame of reference)
     block_max_tf   : max tf in block   } together these give a valid
@@ -38,8 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BLOCK_SIZE = 128
+DECODE_CHUNK = 128  # blocks per decode gather: best of 32-1024, 200k-2M runs
 
 _POW2 = (1 << np.arange(64, dtype=np.uint64)).astype(np.uint64)
+_MASKS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
 
 
 def _bit_width(max_val: int) -> int:
@@ -105,20 +107,26 @@ def bits_window(buf: np.ndarray) -> np.ndarray:
                       strides=(1,))
 
 
-def gather_words(win: np.ndarray, byte0: np.ndarray, n: int,
-                 width: int) -> np.ndarray:
-    """Strided-gather bit-unpack (widths <= 57): for each of the (k,)
-    start bytes, unpack ``n`` ``width``-bit values -> (k, n) uint64.
-    ONE gather + shift + mask per value, width-independent — measured
-    ~4-15x the former unpackbits+matmul at real posting widths.  A
-    value whose shift (<=7) plus width exceeds the 64-bit window would
-    straddle a 9th byte, hence the <= 57 contract (callers fall back to
-    the bit-matrix path above it).  This is the ONE copy of the gather
-    math — ``_unpack_bits`` and ``decode_run`` both call it."""
-    bitpos = np.arange(n, dtype=np.int64) * width
-    pos = byte0[:, None] + (bitpos >> 3)[None, :]
-    shift = (bitpos & 7).view(np.uint64)
-    return (win[pos] >> shift[None, :]) & np.uint64((1 << width) - 1)
+def gather_words(win: np.ndarray, byte0: np.ndarray, width: np.ndarray,
+                 n: int) -> np.ndarray:
+    """Strided-gather bit-unpack (widths <= 57): row ``i`` unpacks ``n``
+    ``width[i]``-bit values starting at byte ``byte0[i]`` -> (k, n)
+    uint64.  ONE gather + shift + mask over every row, whatever its
+    width.  A row holding fewer than ``n`` values gets garbage past its
+    end (positions are clipped into the window, so the read is always in
+    bounds); the caller masks or trims it.  A value whose shift (<=7)
+    plus width exceeds the 64-bit window would straddle a 9th byte,
+    hence the <= 57 contract (callers fall back to the bit-matrix path
+    above it).  This is the ONE copy of the gather math —
+    ``_unpack_bits`` and ``decode_blocks`` both call it."""
+    bitpos = np.arange(n, dtype=np.int64) * width[:, None]
+    pos = bitpos >> 3
+    pos += byte0[:, None]
+    bitpos &= 7
+    out = win.take(pos, mode="clip")  # take: ~3x a fancy index here
+    out >>= bitpos.view(np.uint64)
+    out &= _MASKS[width][:, None]
+    return out
 
 
 def _unpack_bits(buf: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -128,7 +136,7 @@ def _unpack_bits(buf: np.ndarray, n: int, width: int) -> np.ndarray:
         bits = bits[: n * width].reshape(n, width).astype(np.uint64)
         return bits @ _POW2[:width]
     return gather_words(bits_window(buf), np.zeros(1, dtype=np.int64),
-                        n, width)[0]
+                        np.array([width]), n)[0]
 
 
 @dataclass
@@ -195,75 +203,63 @@ def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
     )
 
 
+def decode_blocks(payload: bytes | memoryview, offs: np.ndarray,
+                  lens: np.ndarray, firsts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the blocks at ascending byte offsets ``offs`` (a run, a
+    block range or any block selection) -> (doc_ids, tfs) int64, back to
+    back.  Per ``DECODE_CHUNK`` blocks, their bytes become one window (a
+    slice if adjacent, else a byte gather) and ``gather_words`` unpacks
+    all deltas and tfs in ONE (2 * blocks, longest block) gather with
+    per-row offset and width.  Short-block tails are garbage: trimmed
+    when only the chunk's last block is short, masked out otherwise
+    (doc-range concatenation leaves interior short blocks).  Rows wider
+    than 57 bits are redone by the per-block bit-matrix fallback."""
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    out_d = np.empty(int(lens.sum()), dtype=np.int64)
+    out_t = np.empty(len(out_d), dtype=np.int64)
+    o = 0
+    for c in range(0, len(offs), DECODE_CHUNK):
+        off, ln = offs[c:c + DECODE_CHUNK], lens[c:c + DECODE_CHUNK]
+        k, n, m = len(off), int(ln.max()), int(ln.sum())
+        w = buf[np.concatenate([off, off + 1])].astype(np.int64)  # wd, wt
+        nb = (np.concatenate([ln, ln]) * w + 7) >> 3    # packed bytes
+        size = nb[:k] + nb[k:] + 2
+        base = np.cumsum(size) - size
+        if int(off[-1] - off[0]) == int(base[-1]):         # adjacent
+            span = buf[int(off[0]):int(off[-1] + size[-1])]
+        else:
+            span = buf[np.repeat(off - base, size)
+                       + np.arange(int(size.sum()), dtype=np.int64)]
+        b0 = np.concatenate([base, base + nb[:k]]) + 2
+        vals = gather_words(bits_window(span), b0, w, n)
+        for r in np.flatnonzero(w > 57):
+            vals[r, :ln[r % k]] = _unpack_bits(span[b0[r]:], ln[r % k], w[r])
+        docs = np.cumsum(vals[:k].view(np.int64), axis=1)
+        docs += firsts[c:c + DECODE_CHUNK, None]
+        tfs = vals[k:].view(np.int64)
+        tfs += 1
+        keep = (slice(m) if (ln[:-1] == n).all()
+                else (np.arange(n) < ln[:, None]).reshape(-1))
+        out_d[o:o + m] = docs.reshape(-1)[keep]
+        out_t[o:o + m] = tfs.reshape(-1)[keep]
+        o += m
+    return out_d, out_t
+
+
 def decode_block(payload: bytes | memoryview, offset: int, n: int,
                  first_doc: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode one block -> (doc_ids int64[n], tfs int64[n])."""
-    buf = np.frombuffer(payload, dtype=np.uint8)
-    wd = int(buf[offset])
-    wt = int(buf[offset + 1])
-    nd = (n * wd + 7) // 8
-    nt = (n * wt + 7) // 8
-    p = offset + 2
-    deltas = _unpack_bits(buf[p: p + nd], n, wd).astype(np.int64)
-    tfs = _unpack_bits(buf[p + nd: p + nd + nt], n, wt).astype(np.int64) + 1
-    doc_ids = np.cumsum(deltas) + first_doc
-    return doc_ids, tfs
+    return decode_blocks(payload, *np.array([[offset], [n], [first_doc]]))
 
 
-def decode_run(run: EncodedRun) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a whole run -> (doc_ids, tfs), vectorized.
-
-    Blocks sharing (length, doc-width, tf-width) — the vast majority, as
-    full blocks of a posting list tend to have similar delta magnitudes —
-    are decoded together with the strided-gather kernel: one unaligned
-    uint64 window over the whole (padded) payload, and per shape class a
-    single (k, n) absolute-position gather + shift + mask for deltas and
-    tfs each.  A 15k-block stopword run decodes in a few numpy ops with
-    no per-block Python work and no bit-matrix expansion.
-    """
-    nblocks = len(run.block_len)
-    if nblocks == 1:
-        d, t = decode_block(run.payload, int(run.block_offset[0]),
-                            int(run.block_len[0]), int(run.block_first_doc[0]))
-        return d, t
-    buf = np.frombuffer(run.payload, dtype=np.uint8)
-    lens = np.asarray(run.block_len, dtype=np.int64)
-    offs = np.asarray(run.block_offset, dtype=np.int64)
-    firsts = np.asarray(run.block_first_doc, dtype=np.int64)
-    wds = buf[offs].astype(np.int64)
-    wts = buf[offs + 1].astype(np.int64)
-    win = bits_window(buf)
-
-    out_d = np.empty(int(lens.sum()), dtype=np.int64)
-    out_t = np.empty(int(lens.sum()), dtype=np.int64)
-    out_starts = np.zeros(nblocks + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_starts[1:])
-
-    shape_key = (lens << 16) | (wds << 8) | wts
-    for key in np.unique(shape_key):
-        sel = np.flatnonzero(shape_key == key)
-        n = int(lens[sel[0]])
-        wd = int(wds[sel[0]])
-        wt = int(wts[sel[0]])
-        nd = (n * wd + 7) // 8
-        starts = offs[sel] + 2
-        if max(wd, wt) > 57:  # 9-byte straddle: per-block fallback
-            for bi in sel:
-                d, t = decode_block(run.payload, int(offs[bi]), n,
-                                    int(firsts[bi]))
-                out_d[out_starts[bi]: out_starts[bi] + n] = d
-                out_t[out_starts[bi]: out_starts[bi] + n] = t
-            continue
-        deltas = gather_words(win, starts, n, wd)
-        tfs = gather_words(win, starts + nd, n, wt) + np.uint64(1)
-        docs = np.cumsum(deltas.view(np.int64), axis=1) \
-            + firsts[sel][:, None]
-        # scatter into output positions
-        pos = out_starts[sel]
-        tgt = (pos[:, None] + np.arange(n, dtype=np.int64)[None, :]).reshape(-1)
-        out_d[tgt] = docs.reshape(-1)
-        out_t[tgt] = tfs.reshape(-1).view(np.int64)
-    return out_d, out_t
+def decode_run(run: EncodedRun, blocks=slice(None)
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a run, or its ``blocks`` (a slice or ascending indices),
+    -> (doc_ids, tfs): ``decode_blocks``, so a cold run of a few blocks
+    of distinct (length, width) shapes costs one gather."""
+    return decode_blocks(run.payload, run.block_offset[blocks],
+                         run.block_len[blocks], run.block_first_doc[blocks])
 
 
 def gather_positions(flat_pos: np.ndarray, tfs: np.ndarray,

@@ -321,40 +321,30 @@ class BlockMaxPruning(TaatSearcher):
 def _run_members(run, cand: np.ndarray) -> np.ndarray:
     """Boolean membership of ascending candidate doc_ids in a posting
     run, decoding ONLY the blocks a candidate could land in (block-skip
-    via the run's block_last_doc directory, vectorized searchsorted
-    within each decoded block).  Memory is O(one block); runtime is
-    O(|cand| log + blocks-touched * block_size)."""
-    from ..index.codec import decode_block
+    via the run's block_last_doc directory), all in one ``decode_run``
+    gather, then one searchsorted.  Memory is O(blocks touched)."""
+    from ..index.codec import decode_run
 
-    keep = np.zeros(len(cand), dtype=bool)
-    last = run.block_last_doc
-    bis = np.searchsorted(last, cand, side="left")
-    ok = bis < len(last)
-    for bi in np.unique(bis[ok]):
-        sel = np.flatnonzero(bis == bi)
-        docs, _ = decode_block(run.payload, int(run.block_offset[bi]),
-                               int(run.block_len[bi]),
-                               int(run.block_first_doc[bi]))
-        pos = np.searchsorted(docs, cand[sel])
-        in_rng = pos < len(docs)
-        hit = np.zeros(len(sel), dtype=bool)
-        hit[in_rng] = docs[pos[in_rng]] == cand[sel][in_rng]
-        keep[sel] = hit
+    bis = np.unique(np.searchsorted(run.block_last_doc, cand, side="left"))
+    docs, _ = decode_run(run, bis[bis < len(run.block_last_doc)])
+    pos = np.searchsorted(docs, cand)
+    keep = pos < len(docs)
+    keep[keep] = docs[pos[keep]] == cand[keep]
     return keep
 
 
 def intersect_terms(reader: IndexReader, terms) -> np.ndarray:
     """Boolean-AND posting intersection WITHOUT materializing any full
-    posting list: stream the rarest term's run block by block (128
-    postings at a time) and filter each candidate block through the
-    other runs' block directories (``_run_members``).  Replaces the old
+    posting list: stream the rarest term's run ``DECODE_CHUNK`` blocks
+    at a time and filter each candidate chunk through the other runs'
+    block directories (``_run_members``).  Replaces the old
     decode-everything + np.intersect1d driver path — a hot term's
     multi-GB run now costs one block-directory binary search per
-    candidate block instead of a full decode.
+    candidate instead of a full decode.
 
     Reads through ``reader.postings`` so tombstone filtering applies
     (same filtered runs TAAT/BMP see).  Returns ascending doc_ids."""
-    from ..index.codec import decode_block
+    from ..index.codec import DECODE_CHUNK, decode_run
 
     runs = []
     for t in sorted(set(terms)):
@@ -367,10 +357,8 @@ def intersect_terms(reader: IndexReader, terms) -> np.ndarray:
     runs.sort(key=lambda r: r.n_postings)
     lead, rest = runs[0], runs[1:]
     out: list[np.ndarray] = []
-    for bi in range(len(lead.block_len)):
-        cand, _ = decode_block(lead.payload, int(lead.block_offset[bi]),
-                               int(lead.block_len[bi]),
-                               int(lead.block_first_doc[bi]))
+    for lo in range(0, len(lead.block_len), DECODE_CHUNK):
+        cand, _ = decode_run(lead, slice(lo, lo + DECODE_CHUNK))
         for r in rest:
             if not len(cand):
                 break

@@ -10,7 +10,9 @@ reads its term and df columns once; two views are built from it:
 - a per-bucket term directory, built on the bucket's first point
   lookup, maps each term to its (file, row group, row) locations: a
   lookup then reads only those row groups, and an absent term reads
-  no file at all;
+  no file at all.  The reader keeps each row group's run columns
+  (``ROW_GROUP_BUDGET`` bytes, clear-on-overflow), so the other terms
+  of a row group slice their rows out of it with no file read;
 - a reader-wide term dictionary (term-sorted Arrow strings + summed
   df), built on the first expansion or rarity call, answers wildcard,
   regexp and fuzzy expansion and ``rarest_terms`` without another file
@@ -46,8 +48,16 @@ from .parse import full_match, like_pattern
 RUN_COLUMNS = [f.name for f in dataclasses.fields(EncodedRun)]
 
 
-def _list_values(t, name: str, row: int) -> np.ndarray:
-    return t[name][row].values.to_numpy()
+def _row_group_columns(t: pa.Table) -> tuple:
+    """A read row group as (``payload`` Arrow array, list column ->
+    (values, offsets) numpy views): slicing out one row then copies
+    nothing but that row's payload bytes."""
+    lists = {}
+    for name in t.column_names:
+        a = t[name].combine_chunks()
+        if name != "payload":
+            lists[name] = (a.values.to_numpy(), a.offsets.to_numpy())
+    return t["payload"].combine_chunks(), lists
 
 
 class TermDirectory:
@@ -128,6 +138,13 @@ class TermDirectory:
 
 
 class IndexReader:
+    # bytes of run-column row groups held for later terms of the same
+    # row group (``_segment_rows``); clear-on-overflow, then insert, like
+    # ``TaatSearcher.WEIGHT_BUDGET``
+    ROW_GROUP_BUDGET = 64 << 20
+    # terms per decode when rarest_terms verifies df under tombstones
+    VERIFY_BATCH = 256
+
     def __init__(self, index_dir: str):
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
@@ -167,6 +184,8 @@ class IndexReader:
                 self.avgdl = (self.total_len / self.n_docs
                               if self.n_docs else 0.0)
         self._cache: dict[str, EncodedRun | None] = {}
+        self._row_groups: dict[tuple, tuple] = {}
+        self._row_group_bytes = 0
         self._decoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._decoded_postings = 0
         self.decoded_cache_limit = 50_000_000  # postings held decoded
@@ -178,26 +197,44 @@ class IndexReader:
     def _segment_rows(self, term: str, positions: bool = False) -> list:
         """The term's segment rows as (EncodedRun, positions or None),
         in first_doc order; [] for an absent term, with no file read.
-        Each touched row group is read once, projected to the run
-        columns (plus ``positions`` only when asked for)."""
+        Each touched row group is read projected to the run columns and
+        kept (``_row_group``), so the other terms of a row group read no
+        file; a ``positions`` read adds the position payloads (about
+        2/3 of a positional segment) and so bypasses that cache."""
         entry = self.directory.lookup(term)
         if entry is None:
             return []
-        cols = RUN_COLUMNS + ["positions"] if positions else RUN_COLUMNS
         out = []
         for (pf, g), locs in itertools.groupby(entry[1],
                                                key=lambda loc: loc[:2]):
-            # single-threaded: handing a row group's few columns to pool
-            # threads costs more in wake-ups than it saves in decode
-            t = pf.read_row_group(g, columns=cols, use_threads=False)
+            if positions:
+                payload, lists = _row_group_columns(pf.read_row_group(
+                    g, columns=RUN_COLUMNS + ["positions"],
+                    use_threads=False))
+            else:
+                payload, lists = self._row_group(pf, g)
             for _, _, row in locs:
-                run = EncodedRun(payload=t["payload"][row].as_py(),
-                                 **{c: _list_values(t, c, row)
-                                    for c in RUN_COLUMNS[1:]})
-                out.append((run, _list_values(t, "positions", row)
-                            if positions else None))
+                v = {c: x[o[row]:o[row + 1]] for c, (x, o) in lists.items()}
+                pos = v.pop("positions", None)
+                out.append((EncodedRun(payload=payload[row].as_py(), **v),
+                            pos))
         out.sort(key=lambda r: int(r[0].block_first_doc[0]))
         return out
+
+    def _row_group(self, pf: pq.ParquetFile, g: int) -> tuple:
+        """Row group ``g`` of ``pf``, run columns only, read once per
+        reader while it fits ``ROW_GROUP_BUDGET``."""
+        cols = self._row_groups.get((pf, g))
+        if cols is None:
+            # single-threaded: handing a row group's few columns to pool
+            # threads costs more in wake-ups than it saves in decode
+            t = pf.read_row_group(g, columns=RUN_COLUMNS, use_threads=False)
+            if self._row_group_bytes + t.nbytes > self.ROW_GROUP_BUDGET:
+                self._row_groups.clear()
+                self._row_group_bytes = 0
+            cols = self._row_groups[(pf, g)] = _row_group_columns(t)
+            self._row_group_bytes += t.nbytes
+        return cols
 
     def postings(self, term: str) -> EncodedRun | None:
         """Fetch (and cache) the merged posting run for one term."""
@@ -286,8 +323,7 @@ class IndexReader:
         carries its run's df, so no posting payload is decoded.  This is
         the index-backed rarity scoring the terms models build on.  With
         tombstones present, metadata df overcounts, so the smallest
-        candidates are re-verified against filtered postings before the
-        cut."""
+        candidates are re-verified (``_live_dfs``) before the cut."""
         terms, meta = self.directory.dictionary()
         if self._rarity is None:
             # stable over the term-sorted arrays: (df asc, term asc)
@@ -302,12 +338,11 @@ class IndexReader:
         # beat the kth verified df.  The k best verified so far sit in a
         # heap as (-df, -i), worst on top; i (the term-sorted index)
         # orders ties by term
-        n_tomb = int(self.deleted.sum())
+        tombs = np.flatnonzero(self.deleted)
         best: list[tuple[int, int]] = []
-        for i in order:
-            if len(best) == k and meta[i] - n_tomb > -best[0][0]:
+        for i, d in self._live_dfs(terms, order, tombs):
+            if len(best) == k and meta[i] - len(tombs) > -best[0][0]:
                 break
-            d = self.df(terms[i].as_py())
             if d > 0:
                 item = (-d, -int(i))
                 if len(best) < k:
@@ -316,6 +351,36 @@ class IndexReader:
                     heapq.heapreplace(best, item)
         return [(terms[-ni].as_py(), -nd)
                 for nd, ni in sorted(best, reverse=True)]
+
+    def _live_dfs(self, terms: pa.Array, order: np.ndarray,
+                  tombs: np.ndarray):
+        """Yield (i, df of ``terms[i]``) along ``order`` without
+        filtering a run, ``VERIFY_BATCH`` terms at a time, from their
+        cached row groups: a segment row whose [first_doc, last_doc]
+        span holds none of the sorted ``tombs`` counts its block
+        lengths; the batch's other rows are concatenated and decoded in
+        one ``decode_run``, counting their doc_ids that are not deleted.
+        Re-encodes nothing and puts nothing in ``_cache``."""
+        from ..index.codec import concat_runs, decode_run
+
+        for b in range(0, len(order), self.VERIFY_BATCH):
+            batch = order[b:b + self.VERIFY_BATCH]
+            df = np.zeros(len(batch), dtype=np.int64)
+            dirty, owner = [], []
+            for j, t in enumerate(terms.take(batch).to_pylist()):
+                for run, _ in self._segment_rows(t):
+                    s, e = np.searchsorted(tombs, [run.block_first_doc[0],
+                                                   run.block_last_doc[-1] + 1])
+                    if s == e:
+                        df[j] += run.n_postings
+                    else:
+                        dirty.append(run)
+                        owner.append(j)
+            if dirty:
+                live = ~self.deleted[decode_run(concat_runs(dirty))[0]]
+                n = np.array([r.n_postings for r in dirty])
+                np.add.at(df, owner, np.add.reduceat(live, np.cumsum(n) - n))
+            yield from zip(batch.tolist(), df.tolist())
 
     def terms_regex(self, pattern: str, limit: int = 1024) -> list[str]:
         """Expand a Lucene regexp term (``/pattern/``, full-match

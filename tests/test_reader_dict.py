@@ -172,7 +172,113 @@ def test_absent_lookup_reads_nothing(parts_index, monkeypatch):
     # the spies are live: a present term of the same bucket does read
     assert r.meta_df(present) > 0 and reads == []
     r._cache.clear()
+    r._row_groups.clear()
     assert r.postings(present) is not None and "read_row_group" in reads
+
+
+def _assert_same_run(got, want) -> None:
+    for f in RUN_COLUMNS:
+        a, b = getattr(got, f), getattr(want, f)
+        if f == "payload":
+            assert a == b, f
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+
+def _row_group_keys(reader, term) -> set:
+    return {loc[:2] for loc in reader.directory.lookup(term)[1]}
+
+
+def test_second_term_of_row_group_reads_nothing(parts_index, monkeypatch):
+    """A row group is read once per reader: once one term of it is
+    fetched, another term held only there reads no file, and its run
+    equals a fresh reader's."""
+    r, ref = IndexReader(parts_index), IndexReader(parts_index)
+    by_group: dict = {}
+    for t in _all_terms(r):
+        keys = _row_group_keys(r, t)
+        if len(keys) == 1:
+            by_group.setdefault(keys.pop(), []).append(t)
+    first, second = next(ts[:2] for ts in by_group.values() if len(ts) > 1)
+    assert r.postings(first) is not None
+    reads: list = []
+    _spy_reads(monkeypatch, reads)
+    got = r.postings(second)
+    assert reads == []
+    _assert_same_run(got, ref.postings(second))
+    assert "read_row_group" in reads  # the spies are live
+
+
+@pytest.mark.parametrize("share", [0, 3])
+def test_row_group_budget_evicts(parts_index, share):
+    """Over ``ROW_GROUP_BUDGET`` the row-group cache is cleared before
+    the next insert (budget 1: one row group held at a time; a third of
+    every row group's bytes: some evictions), and every run stays
+    byte-identical to an unbounded reader's."""
+    full = IndexReader(parts_index)
+    terms = _all_terms(full)
+    want = {t: full.postings(t) for t in terms}
+    budget = full._row_group_bytes // share if share else 1
+    r = IndexReader(parts_index)
+    r.ROW_GROUP_BUDGET = budget
+    for t in terms:
+        _assert_same_run(r.postings(t), want[t])
+        assert r._row_group_bytes <= budget or len(r._row_groups) == 1
+    assert len(r._row_groups) < len(full._row_groups)
+
+
+def test_positions_bypass_row_group_cache(tmp_path, monkeypatch):
+    """``positions()`` reads its row groups with the position payloads,
+    whether or not the run columns are cached, puts nothing in the
+    cache, and returns what a fresh reader returns."""
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": range(8), "text": [
+        "alpha beta gamma", "beta alpha", "gamma alpha beta", "alpha beta",
+        "solo here", "beta gamma", "alpha alpha beta", "here beta"]}), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, from_html=False, num_buckets=2, batch_size=4,
+                store_positions=True)
+    r, ref = IndexReader(idx), IndexReader(idx)
+    terms = ["alpha", "beta", "gamma", "here", "solo"]
+    for t in terms:
+        assert r.postings(t) is not None
+    held = set(r._row_groups)
+    reads: list = []
+    _spy_reads(monkeypatch, reads)
+    for t in terms:
+        n = reads.count("read_row_group")
+        got, want = r.positions(t), ref.positions(t)
+        assert reads.count("read_row_group") > n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), t
+    assert set(r._row_groups) == held and ref._row_groups == {}
+
+
+def test_rarest_terms_under_tombstones_caches_nothing(deleted_index):
+    """Under tombstones rarest_terms verifies candidates from the cached
+    row groups (metadata df for a run whose doc span holds no
+    tombstone, else its live decoded doc_ids, a batch at a time): every
+    verified df equals ``df``, the ranking equals one by true df, and no
+    run is cached."""
+    r, ref = IndexReader(deleted_index), IndexReader(deleted_index)
+    r.VERIFY_BATCH = 7  # many batches, stopping inside one
+    terms = _all_terms(ref)
+    true_df = {t: ref.df(t) for t in terms}
+    ranked = sorted((d, t) for t, d in true_df.items() if d)
+    for k in (1, 7, 40, len(ranked) + 3):
+        assert r.rarest_terms(k) == [(t, d) for d, t in ranked[:k]], k
+    assert r._cache == {}
+    tombs = np.flatnonzero(r.deleted)
+    names = r.directory.dictionary()[0]
+    live = r._live_dfs(names, np.arange(len(names)), tombs)
+    assert {names[i].as_py(): d for i, d in live} == true_df
+    # both verifier branches ran: some runs hold a tombstone, some not
+    spans = [(run.block_first_doc[0], run.block_last_doc[-1])
+             for t in terms for run, _ in r._segment_rows(t)]
+    hit = [np.searchsorted(tombs, lo) != np.searchsorted(tombs, hi + 1)
+           for lo, hi in spans]
+    assert any(hit) and not all(hit)
+    assert r._cache == {}
 
 
 def _brute_df(reader) -> dict[str, int]:
