@@ -1,4 +1,4 @@
-"""Inverted-index build: shuffle-free SPIMI encode actors -> one groupby
+"""Inverted-index build: shuffle-free SPIMI encode tasks -> one groupby
 shuffle over *compressed runs* -> tiered merge into block-max posting
 segments, with per-partition manifests.
 
@@ -10,10 +10,10 @@ precedent is the analyzers' eval-batch dicts
 Pipeline (all Ray Data; doc_id dense, assigned at corpus generation):
 
   read_parquet(pages, columns=[doc_id, html|text])
-    -> map_batches(HtmlExtract, actor pool)        # when html input
-    -> map_batches(SpimiEncode, actor pool)        # classic SPIMI: tokenize,
-         per-(doc,term) tf, sort, delta+bitpack -> one COMPRESSED run row
-         per (term, batch); doclens side files
+    -> map_batches(spimi_encode_batch, tasks)      # classic SPIMI: tokenize
+         (inside the html buffer for html input), per-(doc,term) tf, sort,
+         delta+bitpack (codec.encode_blocks) -> one COMPRESSED run row per
+         (term, batch); doclens side files
     -> write runs/                                 # checkpoint boundary:
                                                    # resume skips re-tokenize
     -> read runs -> groupby(bucket).map_groups     # tiered merge: concat
@@ -50,8 +50,8 @@ import pyarrow.parquet as pq
 
 from ..extract import HtmlExtract
 from ..tokenizer import tokenize_column
-from .codec import (EncodedRun, concat_runs, encode_postings,
-                    gather_positions, pack_words)
+from .codec import (EncodedRun, decode_merged, encode_blocks,
+                    encode_postings)
 
 DEFAULT_NUM_BUCKETS = 32
 DEFAULT_DOC_RANGE_SIZE = 1 << 20  # doc-range granularity recorded on runs
@@ -175,8 +175,7 @@ def spimi_encode_batch(batch: pa.Table, *, doclens_dir: str,
     holds no per-worker state (the extract pattern is a constant, numpy
     kernels are module-level), and measured on 1M docs the task pool was
     ~2x faster than an actor pool at 8 CPUs (better pipelining, no pool
-    startup/rebalance cost).  ``SpimiEncode`` below keeps the actor-pool
-    form for callers that do want amortized state.
+    startup/rebalance cost).
 
     Doclens are written as side parquet files named by the batch's min
     doc_id — deterministic and idempotent under task retry.
@@ -276,152 +275,58 @@ def _encode_part(batch: pa.Table, doclens_dir: str, num_buckets: int,
     return out.sort_by([("bucket", "ascending"), ("term", "ascending")])
 
 
-def _bit_widths(v: np.ndarray) -> np.ndarray:
-    """Vectorized bit_length (>=1) via frexp (exact below 2^53)."""
-    _, e = np.frexp(np.maximum(v, 1).astype(np.float64))
-    return e.astype(np.int64)
-
-
 def _encode_terms_vectorized(u_term: np.ndarray, doc: np.ndarray,
                              tf: np.ndarray, dl: np.ndarray,
                              dictionary, bucket_per_dict: np.ndarray,
                              doc_range_size: int,
-                             block_size: int = 128,
                              positions: np.ndarray | None = None) -> pa.Table:
-    """Encode ALL terms' posting runs of one batch in a handful of numpy
-    passes (no per-term Python): block segmentation, per-block widths via
-    reduceat, grouped bit-packing (blocks sharing (len, width) pack in
-    one batched np.packbits), and direct Arrow array assembly — the
-    payload buffer IS the Binary column's data buffer, sliced per term.
-    Byte layout identical to codec.encode_postings (tested)."""
+    """Encode ALL terms' posting runs of one batch with ONE
+    ``codec.encode_blocks`` call (no per-term Python) and assemble the
+    Arrow columns directly — the payload buffer IS the Binary column's
+    data buffer, sliced per term."""
     n = len(u_term)
-    # term boundaries
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = u_term[1:] != u_term[:-1]
-    t_starts = np.flatnonzero(change)
-    t_counts = np.diff(np.append(t_starts, n))
-
-    # block segmentation within each term
-    pos_in_term = np.arange(n, dtype=np.int64) - np.repeat(t_starts, t_counts)
-    b_bound = change | (pos_in_term % block_size == 0)
-    b_starts = np.flatnonzero(b_bound)
-    nb = len(b_starts)
-    b_len = np.diff(np.append(b_starts, n)).astype(np.int64)
-    b_ends = b_starts + b_len
-
-    deltas = np.empty(n, dtype=np.int64)
-    deltas[0] = 0
-    np.subtract(doc[1:], doc[:-1], out=deltas[1:])
-    deltas[b_starts] = 0
-    tfm1 = tf.astype(np.int64) - 1
-
-    b_first = doc[b_starts]
-    b_last = doc[b_ends - 1]
-    b_maxd = np.maximum.reduceat(deltas, b_starts)
-    b_maxtf = np.maximum.reduceat(tfm1, b_starts)
-    b_mindl = np.minimum.reduceat(dl, b_starts)
-    wd = _bit_widths(b_maxd)
-    wt = _bit_widths(b_maxtf)
-
-    nd = (b_len * wd + 7) // 8
-    nt = (b_len * wt + 7) // 8
-    blen = 2 + nd + nt
-    boffs = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(blen, out=boffs[1:])
-    buf = np.zeros(int(boffs[-1]), dtype=np.uint8)
-    buf[boffs[:-1]] = wd
-    buf[boffs[:-1] + 1] = wt
-
-    def pack(values: np.ndarray, widths: np.ndarray, data_off: np.ndarray):
-        # group blocks by (length, width) and pack each group in one
-        # shot; ONE argsort finds all groups (a per-key flatnonzero scan
-        # was O(groups x blocks) — hundreds of full passes per batch)
-        shape_key = (b_len << 8) | widths
-        order = np.argsort(shape_key, kind="stable")
-        sk = shape_key[order]
-        g_starts = np.flatnonzero(
-            np.concatenate([[True], sk[1:] != sk[:-1]]))
-        g_ends = np.append(g_starts[1:], len(order))
-        for gs, ge in zip(g_starts, g_ends):
-            sel = order[gs:ge]
-            L = int(b_len[sel[0]])
-            w = int(widths[sel[0]])
-            k = len(sel)
-            gather = b_starts[sel][:, None] + np.arange(L, dtype=np.int64)
-            vals = values[gather].astype(np.uint64)          # (k, L)
-            nbytes = (L * w + 7) // 8
-            if 4 <= w <= 57:
-                # the ONE shared word-lane kernel (codec.pack_words)
-                packed = pack_words(vals, w)
-            else:
-                bits = ((vals[:, :, None] >> np.arange(w, dtype=np.uint64))
-                        & 1).astype(np.uint8).reshape(k, L * w)
-                pad = (-bits.shape[1]) % 8
-                if pad:
-                    bits = np.concatenate(
-                        [bits, np.zeros((k, pad), dtype=np.uint8)], axis=1)
-                packed = np.packbits(bits.reshape(k, nbytes, 8)[:, :, ::-1],
-                                     axis=2).reshape(k, nbytes)
-            tgt = data_off[sel][:, None] + np.arange(nbytes, dtype=np.int64)
-            buf[tgt.reshape(-1)] = packed.reshape(-1)
-
-    pack(deltas, wd, boffs[:-1] + 2)
-    pack(tfm1, wt, boffs[:-1] + 2 + nd)
-
-    # runs: per-term slices over blocks / bytes
-    term_of_block = u_term[b_starts]
-    tb_change = np.empty(nb, dtype=bool)
-    tb_change[0] = True
-    tb_change[1:] = term_of_block[1:] != term_of_block[:-1]
-    r_bstarts = np.flatnonzero(tb_change)          # first block of each run
-    r_bcounts = np.diff(np.append(r_bstarts, nb))
-    run_term = term_of_block[r_bstarts]
-    run_byte_start = boffs[r_bstarts]
-    run_byte_end = boffs[np.append(r_bstarts[1:], nb)]
-
-    payload_offsets = np.zeros(len(r_bstarts) + 1, dtype=np.int32)
-    payload_offsets[1:] = run_byte_end.astype(np.int32)
-    # py_buffer wraps the numpy arrays zero-copy (no .tobytes() copies)
+    t_starts = np.flatnonzero(np.diff(u_term, prepend=-1))
+    enc, r_bstarts = encode_blocks(doc, tf, dl, t_starts)
+    # run r holds blocks [r_bounds[r], r_bounds[r+1]) and payload bytes
+    # [run_byte[r], run_byte[r+1])
+    r_bounds = np.append(r_bstarts, len(enc.block_len))
+    run_byte = np.append(enc.block_offset, len(enc.payload))[r_bounds]
+    run_term = u_term[t_starts]
+    # py_buffer wraps the offsets and the payload bytes zero-copy
     payload = pa.BinaryArray.from_buffers(
-        pa.binary(), len(r_bstarts),
-        [None, pa.py_buffer(payload_offsets), pa.py_buffer(buf)])
-
-    rel_block_offset = boffs[:-1] - np.repeat(run_byte_start, r_bcounts)
-    list_off = np.zeros(len(r_bstarts) + 1, dtype=np.int64)
-    np.cumsum(r_bcounts, out=list_off[1:])
-    loff = pa.array(list_off, type=pa.int64())
+        pa.binary(), len(t_starts),
+        [None, pa.py_buffer(run_byte.astype(np.int32)),
+         pa.py_buffer(enc.payload)])
+    rel_block_offset = enc.block_offset - np.repeat(run_byte[:-1],
+                                                    np.diff(r_bounds))
+    loff = pa.array(r_bounds, type=pa.int64())
 
     def lst(arr, typ):
         return pa.ListArray.from_arrays(loff, pa.array(arr.astype(typ)))
 
-    run_df = np.add.reduceat(b_len, r_bstarts)
     cols = {
         "term": dictionary.take(pa.array(run_term)),
         "bucket": pa.array(bucket_per_dict[run_term], type=pa.int32()),
-        "rng": pa.array((b_first[r_bstarts] // doc_range_size).astype(np.int32)),
-        "first_doc": pa.array(b_first[r_bstarts], type=pa.int64()),
-        "df": pa.array(run_df, type=pa.int64()),
+        "rng": pa.array((doc[t_starts] // doc_range_size).astype(np.int32)),
+        "first_doc": pa.array(doc[t_starts], type=pa.int64()),
+        "df": pa.array(np.diff(t_starts, append=n), type=pa.int64()),
         "payload": payload,
-        "block_len": lst(b_len, np.int32),
+        "block_len": lst(enc.block_len, np.int32),
         "block_offset": lst(rel_block_offset, np.int64),
-        "block_first_doc": lst(b_first, np.int64),
-        "block_last_doc": lst(b_last, np.int64),
-        "block_max_tf": lst(b_maxtf + 1, np.int32),
-        "block_min_dl": lst(b_mindl, np.int32),
+        "block_first_doc": lst(enc.block_first_doc, np.int64),
+        "block_last_doc": lst(enc.block_last_doc, np.int64),
+        "block_max_tf": lst(enc.block_max_tf, np.int32),
+        "block_min_dl": lst(enc.block_min_dl, np.int32),
     }
     if positions is None:
         return pa.table(cols).cast(_RUN_SCHEMA)
     # flat in-doc positions aligned with the (term, doc) posting stream;
-    # per-run slice boundaries = cumulative tf at each run's posting range
+    # run r (one per term within a batch part) covers postings
+    # [t_starts[r], t_starts[r+1]), so its positions slice is the
+    # cumulative-tf range at those boundaries
     cum_tf = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(tf, out=cum_tf[1:])
-    # run r covers postings [t_starts[r], t_starts[r+1]) (one run per term
-    # within a batch part), so its positions slice is the cumulative-tf
-    # range at those boundaries
-    pos_off = np.zeros(len(r_bstarts) + 1, dtype=np.int64)
-    pos_off[:-1] = cum_tf[t_starts]
-    pos_off[-1] = cum_tf[-1]
+    pos_off = cum_tf[np.append(t_starts, n)]
     cols["positions"] = pa.ListArray.from_arrays(
         pa.array(pos_off, type=pa.int64()),
         pa.array(positions.astype(np.int32)))
@@ -443,20 +348,6 @@ def _write_doclens(doclens_dir: str, doc_ids: np.ndarray, dls: np.ndarray) -> No
     tmp = path + f".tmp{os.getpid()}"
     pq.write_table(t, tmp)
     os.rename(tmp, path)
-
-
-class SpimiEncode:
-    """Actor-pool form of ``spimi_encode_batch`` (state amortized per
-    actor) — used when callers want an explicit pool; ``build_index``
-    uses the stateless task form."""
-
-    def __init__(self, doclens_dir: str, num_buckets: int, doc_range_size: int,
-                 from_html: bool = False):
-        self.kw = dict(doclens_dir=doclens_dir, num_buckets=num_buckets,
-                       doc_range_size=doc_range_size, from_html=from_html)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return spimi_encode_batch(batch, **self.kw)
 
 
 def _merge_bucket_group(group: pa.Table) -> pa.Table:
@@ -557,9 +448,8 @@ def _merge_bucket_group(group: pa.Table) -> pa.Table:
                 row["positions"] = pos_vals[pos_off[s]:pos_off[e]].tolist()
             out_rows.append(row)
         else:
-            # rare fallback: interleaved ranges -> decode, merge, re-encode
-            from .codec import decode_run
-
+            # rare fallback: interleaved ranges -> decode, doc-sort,
+            # re-encode (positions reordered to the merged doc order)
             runs = [
                 EncodedRun(
                     payload=payloads[k],
@@ -572,18 +462,12 @@ def _merge_bucket_group(group: pa.Table) -> pa.Table:
                 )
                 for k in range(s, e)
             ]
-            parts = [decode_run(r) for r in runs]
-            d = np.concatenate([p[0] for p in parts])
-            t = np.concatenate([p[1] for p in parts])
-            dls = np.concatenate([
-                np.repeat(r.block_min_dl, r.block_len) for r in runs])
-            order = np.argsort(d, kind="stable")
-            merged = encode_postings(d[order], t[order], dls[order])
-            row = _run_to_row(terms[s], bucket, 0, merged)
+            d, t, dls, pos = decode_merged(
+                runs, pos_vals[pos_off[s]:pos_off[e]] if has_pos else None)
+            row = _run_to_row(terms[s], bucket, 0,
+                              encode_postings(d, t, dls))
             if has_pos:
-                # reorder per-posting position lists to the merged doc order
-                row["positions"] = gather_positions(
-                    pos_vals[pos_off[s]:pos_off[e]], t, order).tolist()
+                row["positions"] = pos.tolist()
             out_rows.append(row)
     return pa.Table.from_pylist(
         out_rows, schema=_RUN_SCHEMA_POS if has_pos else _RUN_SCHEMA)

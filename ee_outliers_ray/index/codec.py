@@ -3,10 +3,13 @@
 
 This layer existed *inside* Elasticsearch/Lucene in the reference (segment
 postings; invisible in /root/reference code — see SURVEY.md §2.4 ST5); here
-it is explicit.  All encode/decode paths are numpy-vectorized — no Python
-per-posting loops; a run decodes in one gather per chunk of blocks.
+it is explicit, and this module is the only one that knows the payload
+layout: one encoder (``encode_blocks``: one ``scatter_words`` pack per
+stream over every block of one or many runs, no cutoff) and one decoder
+(``decode_blocks``: one ``gather_words`` unpack per chunk of blocks).
+Neither loops over postings, blocks or block shapes in Python.
 
-Layout of one encoded posting run for a term (see ``encode_postings``):
+Layout of one encoded posting run for a term (see ``encode_blocks``):
 
     doc_ids : sorted int64  -> per block: first_doc (varint-free, stored in
               metadata), deltas (d[i]-d[i-1], first delta vs first_doc)
@@ -44,57 +47,31 @@ _POW2 = (1 << np.arange(64, dtype=np.uint64)).astype(np.uint64)
 _MASKS = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
 
 
-def _bit_width(max_val: int) -> int:
-    return max(1, int(max_val).bit_length())
+def _bit_widths(v: np.ndarray) -> np.ndarray:
+    """Exact ``bit_length`` (at least 1) of uint64 values: the number of
+    powers of two <= v, so it stays exact above 2**53, where a float
+    ``frexp`` rounds 2**60 - 1 up to 61 bits."""
+    return np.maximum(np.searchsorted(_POW2, v, side="right"), 1)
 
 
-def pack_words(vals: np.ndarray, width: int) -> np.ndarray:
-    """Word-lane bit-pack (widths 4-57): (k, L) uint64 values ->
-    (k, nbytes) uint8 little-endian packed rows.
-
-    Each output uint64 word is the OR of the <= 64//width + 2 values
-    overlapping its bit range, shifted into lane — ~2x the bit-matrix
-    throughput at widths >= 8 and byte-identical by construction
-    (width-sweep property test).  Words are serialized EXPLICITLY
-    little-endian ('<u8'; a no-op on LE hosts) so the on-disk layout is
-    platform-invariant like the packbits path it replaced.  This is the
-    ONE copy of the lane math — codec._pack_bits and the build's
-    grouped encoder both call it (CLAUDE.md: never fork it)."""
-    k, L = vals.shape
-    nbytes = (L * width + 7) // 8
-    nw = (nbytes + 7) // 8
-    q = np.arange(nw, dtype=np.int64) * 64
-    m = 64 // width + 2
-    idx = (q // width)[:, None] + np.arange(m, dtype=np.int64)[None, :]
-    s = idx * width - q[:, None]
-    np.minimum(idx, L, out=idx)
-    vp = np.concatenate([vals, np.zeros((k, 1), dtype=np.uint64)], axis=1)
-    vg = vp[:, idx]                                      # (k, nw, m)
-    pos = np.where((s >= 0) & (s < 64), s, 0).astype(np.uint64)
-    neg = np.where(s < 0, -s, 0).astype(np.uint64)
-    contrib = np.where(s >= 0, vg << pos[None], vg >> neg[None])
-    contrib[:, s >= 64] = 0
-    words = np.ascontiguousarray(np.bitwise_or.reduce(contrib, axis=2)) \
-        .astype("<u8", copy=False)
-    return words.view(np.uint8).reshape(k, nw * 8)[:, :nbytes]
-
-
-def _pack_bits(values: np.ndarray, width: int) -> bytes:
-    """Pack uint64 values (< 2**width) into a little-endian bitstream.
-
-    Width >= 4 routes through the shared ``pack_words`` lane kernel;
-    narrow widths (1-3) keep the bit-matrix + packbits path, which wins
-    there because the lane tables outgrow the bit expansion."""
-    n = len(values)
-    if 4 <= width <= 57 and n:
-        v = values.astype(np.uint64, copy=False)
-        return pack_words(v[None, :], width)[0].tobytes()
-    bits = ((values[:, None] >> np.arange(width, dtype=np.uint64)) & 1).astype(np.uint8)
-    flat = bits.reshape(-1)
-    pad = (-len(flat)) % 8
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-    return np.packbits(flat.reshape(-1, 8)[:, ::-1], axis=1).tobytes()
+def scatter_words(words: np.ndarray, vals: np.ndarray,
+                  bitpos: np.ndarray) -> None:
+    """Bit-pack, the mirror of ``gather_words``: OR each uint64 value
+    into ``words`` (uint64, one spare word at the end) at its absolute
+    bit offset ``bitpos`` (ascending).  The values starting in one word
+    are ORed together with ONE ``bitwise_or.reduceat``.  Only a word's
+    last value can straddle into the next word; its spill
+    ``(v >> 1) >> (63 - shift)`` (0 when it does not straddle, and never
+    a 64-bit shift) is ORed there.  Every width 1-63 packs this way,
+    with no cutoff.  This is the ONE copy of the pack math."""
+    w = bitpos >> 6
+    s = (bitpos & 63).view(np.uint64)
+    k = (w[1:] != w[:-1]).nonzero()[0]
+    first = np.concatenate(([0], k + 1))
+    last = np.concatenate((k, [len(w) - 1]))
+    words[w[first]] |= np.bitwise_or.reduceat(vals << s, first)
+    words[w[last] + 1] |= (vals[last] >> np.uint64(1)) \
+        >> (np.uint64(63) - s[last])
 
 
 def bits_window(buf: np.ndarray) -> np.ndarray:
@@ -114,10 +91,12 @@ def gather_words(win: np.ndarray, byte0: np.ndarray, width: np.ndarray,
     uint64.  ONE gather + shift + mask over every row, whatever its
     width.  A row holding fewer than ``n`` values gets garbage past its
     end (positions are clipped into the window, so the read is always in
-    bounds); the caller masks or trims it.  A value whose shift (<=7)
-    plus width exceeds the 64-bit window would straddle a 9th byte,
-    hence the <= 57 contract (callers fall back to the bit-matrix path
-    above it).  This is the ONE copy of the gather math —
+    bounds); the caller masks or trims it.  Each value is read from ONE
+    unaligned word at its byte, so a value whose shift (<=7) plus width
+    exceeds 64 bits would straddle a 9th byte, hence the <= 57 contract
+    (callers fall back to the bit-matrix path above it); the pack side,
+    ``scatter_words``, spills into the next aligned word instead and
+    has no cutoff.  This is the ONE copy of the gather math —
     ``_unpack_bits`` and ``decode_blocks`` both call it."""
     bitpos = np.arange(n, dtype=np.int64) * width[:, None]
     pos = bitpos >> 3
@@ -130,7 +109,8 @@ def gather_words(win: np.ndarray, byte0: np.ndarray, width: np.ndarray,
 
 
 def _unpack_bits(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of _pack_bits: buf is a uint8 array; returns uint64[n]."""
+    """Unpack ``n`` ``width``-bit values from the little-endian
+    bitstream ``buf`` (uint8) -> uint64[n]."""
     if width > 57:
         bits = np.unpackbits(buf[:, None], axis=1)[:, ::-1].reshape(-1)
         bits = bits[: n * width].reshape(n, width).astype(np.uint64)
@@ -156,51 +136,65 @@ class EncodedRun:
         return int(self.block_len.sum())
 
 
-def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
-                    block_size: int = BLOCK_SIZE) -> EncodedRun:
-    """Encode one term's postings (doc-sorted, unique doc_ids)."""
-    n = len(doc_ids)
-    assert n > 0
+def encode_blocks(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
+                  run_starts=(0,)) -> tuple[EncodedRun, np.ndarray]:
+    """The ONE encoder: the doc-sorted postings of one or many runs (run
+    ``r`` starts at posting ``run_starts[r]``) cut into ``BLOCK_SIZE``
+    blocks per run.  Block widths and metadata come from reduceats over
+    the block starts, the ``[wd, wt]`` headers from two indexed stores,
+    and all deltas, then all tf-1 values, from one ``scatter_words``
+    call each.  Returns the runs back to back as one run (what
+    ``concat_runs`` of per-run encodes gives) and the index of each
+    run's first block."""
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
-    dls = np.asarray(dls, dtype=np.int64)
+    n = len(doc_ids)
+    i = np.arange(n, dtype=np.int64)
+    bounds = np.concatenate((run_starts, [n]))
+    in_run = i - bounds[:-1].repeat(bounds[1:] - bounds[:-1])
+    starts = (in_run % BLOCK_SIZE == 0).nonzero()[0]
+    bounds = np.concatenate((starts, [n]))
+    lens = bounds[1:] - bounds[:-1]
 
-    nblocks = (n + block_size - 1) // block_size
-    starts = np.arange(nblocks, dtype=np.int64) * block_size
-    ends = np.minimum(starts + block_size, n)
+    deltas = np.empty(n, dtype=np.uint64)
+    np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:], casting="unsafe")
+    deltas[starts] = 0
+    t = (tfs - 1).view(np.uint64)
+    wd = _bit_widths(np.maximum.reduceat(deltas, starts))
+    wt = _bit_widths(np.maximum.reduceat(t, starts))
+    nd = (lens * wd + 7) >> 3
+    size = ((lens * wt + 7) >> 3) + nd + 2
+    offs = size.cumsum() - size
+    total = int(offs[-1] + size[-1])
 
-    block_len = (ends - starts).astype(np.int32)
-    block_first = doc_ids[starts]
-    block_last = doc_ids[ends - 1]
-    # per-block max tf / min dl without Python loops
-    block_max_tf = np.maximum.reduceat(tfs, starts).astype(np.int32)
-    block_min_dl = np.minimum.reduceat(dls, starts).astype(np.int32)
-
-    chunks: list[bytes] = []
-    offsets = np.zeros(nblocks, dtype=np.int64)
-    pos = 0
-    for bi in range(nblocks):
-        s, e = starts[bi], ends[bi]
-        d = doc_ids[s:e]
-        deltas = np.empty(e - s, dtype=np.uint64)
-        deltas[0] = 0
-        np.subtract(d[1:], d[:-1], out=deltas[1:], casting="unsafe")
-        t = (tfs[s:e] - 1).astype(np.uint64)
-        wd = _bit_width(int(deltas.max()))
-        wt = _bit_width(int(t.max()))
-        body = bytes([wd, wt]) + _pack_bits(deltas, wd) + _pack_bits(t, wt)
-        offsets[bi] = pos
-        pos += len(body)
-        chunks.append(body)
-    return EncodedRun(
-        payload=b"".join(chunks),
-        block_len=block_len,
-        block_offset=offsets,
-        block_first_doc=block_first,
-        block_last_doc=block_last,
-        block_max_tf=block_max_tf,
-        block_min_dl=block_min_dl,
+    words = np.zeros((total >> 3) + 2, dtype=np.uint64)
+    for vals, w, byte0 in ((deltas, wd, offs + 2), (t, wt, offs + 2 + nd)):
+        # posting i of a block starting at posting s: byte0 * 8 + (i - s) * w
+        bitpos = (byte0 * 8 - starts * w).repeat(lens)
+        bitpos += i * w.repeat(lens)
+        scatter_words(words, vals, bitpos)
+    # little-endian bytes on every host (a no-op cast on LE ones)
+    buf = words.astype("<u8", copy=False).view(np.uint8)[:total]
+    buf[offs] = wd
+    buf[offs + 1] = wt
+    run = EncodedRun(
+        payload=buf.tobytes(),
+        block_len=lens.astype(np.int32),
+        block_offset=offs,
+        block_first_doc=doc_ids[starts],
+        block_last_doc=doc_ids[starts + lens - 1],
+        block_max_tf=np.maximum.reduceat(tfs, starts).astype(np.int32),
+        block_min_dl=np.minimum.reduceat(np.asarray(dls), starts)
+        .astype(np.int32),
     )
+    return run, starts.searchsorted(run_starts)
+
+
+def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray,
+                    dls: np.ndarray) -> EncodedRun:
+    """Encode one term's postings (doc-sorted, unique doc_ids)."""
+    assert len(doc_ids) > 0
+    return encode_blocks(doc_ids, tfs, dls)[0]
 
 
 def decode_blocks(payload: bytes | memoryview, offs: np.ndarray,
@@ -285,24 +279,37 @@ def runs_chainable(runs: list[EncodedRun]) -> bool:
                for i in range(len(runs) - 1))
 
 
+def decode_merged(runs: list[EncodedRun], flat_pos: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray | None]:
+    """Decode one term's runs (sorted by first_doc) into doc order ->
+    (doc_ids, tfs, dls, flat_pos).  Chainable runs decode back to back;
+    otherwise (the interleaved-range case a part-split merge can leave
+    when input batches straddle files) the postings are stably
+    doc-sorted, and that order is applied to ``flat_pos`` (per-posting
+    position slices, in run order).  dls repeat each source block's
+    min_dl: a lower bound of the true dls, so block-max upper bounds
+    stay valid (exact scores always come from the doclens sidecar, not
+    this metadata)."""
+    d, t = decode_run(concat_runs(runs))
+    dls = np.repeat(np.concatenate([r.block_min_dl for r in runs])
+                    .astype(np.int64),
+                    np.concatenate([r.block_len for r in runs]))
+    if runs_chainable(runs):
+        return d, t, dls, flat_pos
+    order = np.argsort(d, kind="stable")
+    if flat_pos is not None:
+        flat_pos = gather_positions(flat_pos, t, order)
+    return d[order], t[order], dls[order], flat_pos
+
+
 def merge_runs(runs: list[EncodedRun]) -> EncodedRun:
     """Merge one term's runs (sorted by first_doc): byte-concat when the
     runs are doc-disjoint and ordered (the normal tiered-merge layout);
-    otherwise decode, doc-sort, re-encode — the interleaved-range case a
-    part-split merge can leave when input batches straddle files.  The
-    re-encode reuses each source block's min_dl for its postings: a lower
-    bound of the true dls, so block-max upper bounds stay valid (exact
-    scores always come from the doclens sidecar, not this metadata)."""
+    otherwise ``decode_merged`` and re-encode."""
     if runs_chainable(runs):
         return concat_runs(runs)
-    parts = [decode_run(r) for r in runs]
-    d = np.concatenate([p[0] for p in parts])
-    t = np.concatenate([p[1] for p in parts])
-    dls = np.concatenate([
-        np.repeat(np.asarray(r.block_min_dl, dtype=np.int64),
-                  np.asarray(r.block_len, dtype=np.int64)) for r in runs])
-    order = np.argsort(d, kind="stable")
-    return encode_postings(d[order], t[order], dls[order])
+    return encode_postings(*decode_merged(runs)[:3])
 
 
 def concat_runs(runs: list[EncodedRun]) -> EncodedRun:

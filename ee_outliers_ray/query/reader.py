@@ -410,21 +410,11 @@ class IndexReader:
         rows = self._segment_rows(term, positions=True)
         if not rows:
             return None
-        from ..index.codec import concat_runs, decode_run, runs_chainable
+        from ..index.codec import decode_merged
 
-        runs = [r[0] for r in rows]
-        flat_pos = np.concatenate([r[1] for r in rows])
-        if runs_chainable(runs):
-            doc_ids, tfs = decode_run(concat_runs(runs))
-            return self._filter_positions(doc_ids, tfs, flat_pos)
-        # interleaved part intervals: doc-sort the merged postings and
-        # reorder the per-posting position slices to match
-        parts = [decode_run(r) for r in runs]
-        d = np.concatenate([p[0] for p in parts])
-        t = np.concatenate([p[1] for p in parts])
-        order = np.argsort(d, kind="stable")
-        return self._filter_positions(d[order], t[order],
-                                      gather_positions(flat_pos, t, order))
+        d, t, _, flat_pos = decode_merged(
+            [r[0] for r in rows], np.concatenate([r[1] for r in rows]))
+        return self._filter_positions(d, t, flat_pos)
 
     def _filter_positions(self, d: np.ndarray, t: np.ndarray,
                           flat_pos: np.ndarray):

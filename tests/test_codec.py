@@ -3,12 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ee_outliers_ray.index.codec import (
+    BLOCK_SIZE,
     EncodedRun,
     concat_runs,
     decode_block,
     decode_run,
+    encode_blocks,
     encode_postings,
     gather_positions,
+    scatter_words,
 )
 
 
@@ -32,7 +35,7 @@ def test_roundtrip_small():
 def test_roundtrip_multi_block():
     rng = np.random.default_rng(7)
     doc_ids, tfs, dls = _mk(1000, rng)
-    run = encode_postings(doc_ids, tfs, dls, block_size=128)
+    run = encode_postings(doc_ids, tfs, dls)
     assert len(run.block_len) == 8
     d, t = decode_run(run)
     np.testing.assert_array_equal(d, doc_ids)
@@ -52,7 +55,7 @@ def test_single_posting():
 def test_decode_single_block():
     rng = np.random.default_rng(3)
     doc_ids, tfs, dls = _mk(300, rng)
-    run = encode_postings(doc_ids, tfs, dls, block_size=128)
+    run = encode_postings(doc_ids, tfs, dls)
     d, t = decode_block(run.payload, int(run.block_offset[1]),
                         int(run.block_len[1]), int(run.block_first_doc[1]))
     np.testing.assert_array_equal(d, doc_ids[128:256])
@@ -109,29 +112,36 @@ def test_run_members_and_intersection_fuzz():
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
 
 
+def _pack(vals: np.ndarray, width: int) -> bytes:
+    """``vals`` packed at ``width`` bits by the one pack kernel."""
+    nbytes = (len(vals) * width + 7) // 8
+    words = np.zeros(nbytes // 8 + 2, dtype=np.uint64)
+    scatter_words(words, vals, np.arange(len(vals), dtype=np.int64) * width)
+    return words.astype("<u8").view(np.uint8)[:nbytes].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 63), st.integers(1, 500), st.integers(0, 2**31))
 def test_pack_unpack_width_sweep(width, n, seed):
-    """Kernel-level pin across EVERY width, straddling both internal
-    cutoffs (word-lane pack for widths 4-57, strided-gather unpack for
-    widths <= 57, bit-matrix fallbacks outside) — the two sides must
-    stay a bijection at every width, not just the ones real postings
-    produce."""
-    from ee_outliers_ray.index.codec import _pack_bits, _unpack_bits
+    """Kernel-level pin across EVERY width: the one scatter pack (no
+    cutoff) and the unpack (strided gather up to 57 bits, bit-matrix
+    fallback above) must stay a bijection at every width, not just the
+    ones real postings produce."""
+    from ee_outliers_ray.index.codec import _unpack_bits
 
     rng = np.random.default_rng(seed)
     hi = (1 << width) - 1
     vals = rng.integers(0, hi, size=n, endpoint=True).astype(np.uint64)
-    packed = np.frombuffer(_pack_bits(vals, width), dtype=np.uint8)
+    packed = np.frombuffer(_pack(vals, width), dtype=np.uint8)
     assert len(packed) == (n * width + 7) // 8
     got = _unpack_bits(packed, n, width)
     np.testing.assert_array_equal(got, vals)
 
 
 def test_roundtrip_extreme_deltas():
-    """Doc gaps wider than 57 bits force the bit-matrix fallbacks on
-    both sides (pack >57, unpack >57, decode_run per-block fallback) —
-    unreachable by realistic corpora, so pin it directly."""
+    """Doc gaps and tfs wider than 57 bits force the unpack's bit-matrix
+    fallbacks (``_unpack_bits`` >57, ``decode_blocks``' per-block
+    fallback) — unreachable by realistic corpora, so pin it directly."""
     doc_ids = np.array([0, 1, (1 << 60) + 5, (1 << 62) + 9], dtype=np.int64)
     tfs = np.array([1, 7, 2, (1 << 58) + 3], dtype=np.int64)
     dls = np.array([10, 20, 30, 40], dtype=np.int64)
@@ -139,8 +149,14 @@ def test_roundtrip_extreme_deltas():
     d, t = decode_run(run)
     np.testing.assert_array_equal(d, doc_ids)
     np.testing.assert_array_equal(t, tfs)
-    # multi-block form exercises decode_run's per-block >57-bit fallback
-    run2 = encode_postings(doc_ids, tfs, dls, block_size=2)
+    # two blocks, each with a >57-bit delta and tf
+    n = BLOCK_SIZE + 12
+    doc_ids = np.arange(n, dtype=np.int64)
+    doc_ids[2:] += 1 << 60
+    doc_ids[BLOCK_SIZE + 1:] += 1 << 62
+    tfs = np.ones(n, dtype=np.int64)
+    tfs[3], tfs[BLOCK_SIZE + 2] = (1 << 58) + 3, (1 << 61) + 1
+    run2 = encode_postings(doc_ids, tfs, np.full(n, 9))
     assert len(run2.block_len) == 2
     d2, t2 = decode_run(run2)
     np.testing.assert_array_equal(d2, doc_ids)
@@ -231,8 +247,6 @@ def _raw_run(rng, nblocks: int, width: int, short_every: int) -> EncodedRun:
     """Hand-packed blocks: the first block's deltas and tfs are exactly
     ``width`` bits wide, the others random widths 1-63; every
     ``short_every``-th block and the last are short."""
-    from ee_outliers_ray.index.codec import BLOCK_SIZE, _pack_bits
-
     body, offs, lens = [], [], []
     pos = 0
     for b in range(nblocks):
@@ -244,7 +258,7 @@ def _raw_run(rng, nblocks: int, width: int, short_every: int) -> EncodedRun:
         for w in (wd, wt):
             v = rng.integers(0, 1 << w, size=n, dtype=np.uint64)
             v[0] |= np.uint64(1 << (w - 1))       # width exactly w
-            vals.append(_pack_bits(v, w))
+            vals.append(_pack(v, w))
         blk = bytes([wd, wt]) + vals[0] + vals[1]
         body.append(blk)
         offs.append(pos)
@@ -294,3 +308,96 @@ def test_decode_kernel_equals_reference(width, size, short_every, seed):
                        run.block_len[b:b + 1], run.block_first_doc[b:b + 1])
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def _ref_encode(doc_ids, tfs, dls):
+    """Pure-Python per-posting encoder, the mirror of ``_ref_decode``:
+    per ``BLOCK_SIZE`` block, ``[wd, wt]`` then the deltas and tf-1
+    values as little-endian ``int.to_bytes`` bitstreams at the block's
+    exact ``bit_length`` widths.  -> (payload, per-block metadata); max
+    tf and min dl wrap to int32, the width of their columns."""
+    def i32(v):
+        return (v + (1 << 31)) % (1 << 32) - (1 << 31)
+
+    payload, meta = b"", []
+    for s in range(0, len(doc_ids), BLOCK_SIZE):
+        d = [int(x) for x in doc_ids[s:s + BLOCK_SIZE]]
+        t = [int(x) - 1 for x in tfs[s:s + BLOCK_SIZE]]
+        deltas = [0] + [b - a for a, b in zip(d, d[1:])]
+        wd = max(1, max(deltas).bit_length())
+        wt = max(1, max(t).bit_length())
+        body = bytes([wd, wt])
+        for vals, w in ((deltas, wd), (t, wt)):
+            bits = sum(v << (i * w) for i, v in enumerate(vals))
+            body += bits.to_bytes((len(vals) * w + 7) // 8, "little")
+        meta.append((len(payload), len(d), d[0], d[-1], i32(max(t) + 1),
+                     i32(int(min(dls[s:s + BLOCK_SIZE])))))
+        payload += body
+    return payload, meta
+
+
+def _meta(run: EncodedRun) -> list[tuple]:
+    return list(zip(*(a.tolist() for a in (
+        run.block_offset, run.block_len, run.block_first_doc,
+        run.block_last_doc, run.block_max_tf, run.block_min_dl))))
+
+
+def _widest_run(rng, n: int, wd: int, wt: int, exact: bool):
+    """``n`` doc-sorted postings whose widest delta has exactly ``wd``
+    bits and widest tf-1 exactly ``wt`` bits (``2**k - 1`` when
+    ``exact``), within int64."""
+    top = (1 << 63) - 1
+    first = 0 if exact else int(rng.integers(0, 1000))
+    big = (1 << wd) - 1 if exact else int(rng.integers(1 << (wd - 1),
+                                                       1 << wd))
+    big = min(big, top - first - max(n - 2, 0))
+    cap = max(1, min((1 << wd) - 1, (top - first - big) // n))
+    gaps = rng.integers(1, cap, size=n, endpoint=True)
+    gaps[0] = first
+    if n > 1:
+        gaps[int(rng.integers(1, n))] = big
+    t_hi = min((1 << wt) - 1, top - 1)
+    tf1 = rng.integers(0, t_hi, size=n, endpoint=True)
+    tf1[int(rng.integers(0, n))] = t_hi if exact else max(
+        int(tf1.max()), 1 << (wt - 1))
+    return (np.cumsum(gaps).astype(np.int64), tf1 + 1,
+            rng.integers(1, 5000, size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 63), st.integers(1, 63), st.booleans(),
+       st.lists(st.sampled_from([1, 2, 3, 127, 128, 129, 300])
+                | st.integers(1, 400), min_size=1, max_size=5),
+       st.integers(0, 2**31))
+def test_encoder_equals_reference(wd, wt, exact, sizes, seed):
+    """The one encoder equals a per-posting Python reference at every
+    width 1-63 (maxima of exactly ``2**k - 1`` included): a one-term
+    ``encode_postings`` gives the reference's bytes and block metadata,
+    and in a multi-term ``encode_blocks`` batch (the build's call) each
+    term's bytes and blocks equal its one-term encode.  The runs decode
+    back to their postings."""
+    rng = np.random.default_rng(seed)
+    terms = [_widest_run(rng, n, wd, wt, exact) for n in sizes]
+    singles = []
+    for docs, tfs, dls in terms:
+        run = encode_postings(docs, tfs, dls)
+        payload, meta = _ref_encode(docs, tfs, dls)
+        assert run.payload == payload
+        assert _meta(run) == meta
+        got = decode_run(run)
+        np.testing.assert_array_equal(got[0], docs)
+        np.testing.assert_array_equal(got[1], tfs)
+        singles.append(run)
+    starts = np.cumsum([0] + sizes[:-1])
+    batch, first_block = encode_blocks(
+        *(np.concatenate(c) for c in zip(*terms)), starts)
+    bounds = np.append(first_block, len(batch.block_len))
+    ends = np.append(batch.block_offset, len(batch.payload))
+    for run, b0, b1 in zip(singles, bounds[:-1], bounds[1:]):
+        base = int(batch.block_offset[b0])
+        assert batch.payload[base:int(ends[b1])] == run.payload
+        sub = EncodedRun(batch.payload, *(
+            a[b0:b1] for a in (batch.block_len, batch.block_offset - base,
+                               batch.block_first_doc, batch.block_last_doc,
+                               batch.block_max_tf, batch.block_min_dl)))
+        assert _meta(sub) == _meta(run)

@@ -159,3 +159,43 @@ def test_postings_read_skips_positions_column(pos_index, monkeypatch):
     # tiny fixture: per-row metadata dominates, so just require a real
     # nonzero share here (BASELINE.md measures ~2/3 at bench scale)
     assert pos_bytes > 0 and pos_bytes / total > 0.05
+
+
+def test_interleaved_positions_equal_tokens(tmp_path):
+    """A batch reaching into a later doc range leaves runs that
+    interleave, both inside one merge task and across part files.  The
+    build's merge and ``IndexReader.positions`` doc-sort them through
+    ``codec.decode_merged``; every term's postings and position slices
+    still equal the tokenized documents."""
+    from ee_outliers_ray.index.codec import decode_run, runs_chainable
+
+    rng = np.random.default_rng(3)
+    words = ["alpha", "beta", "gamma", "delta", "eps"]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 8))))
+             for _ in range(400)]
+    order = np.arange(400)
+    for early, late in [(20, 350), (60, 300), (99, 390)]:
+        order[[early, late]] = order[[late, early]]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": order,
+                             "text": [texts[i] for i in order]}), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, from_html=False, num_buckets=2, doc_range_size=64,
+                batch_size=100, merge_parts=3, store_positions=True)
+    r = IndexReader(idx)
+    merged = across = 0
+    for w in words:
+        want = {i: p for i in range(400) if (p := [
+            j for j, t in enumerate(tokenize(texts[i])) if t == w])}
+        d, tfs, flat = r.positions(w)
+        assert d.tolist() == sorted(want), w
+        cut = np.cumsum(tfs)[:-1]
+        assert [p.tolist() for p in np.split(flat, cut)] == \
+            [want[i] for i in sorted(want)], w
+        runs = [run for run, _ in r._segment_rows(w, positions=True)]
+        across += not runs_chainable(runs)
+        # docs 20 (last batch) and 21 (first batch) in one segment row:
+        # the merge task re-sorted interleaved runs
+        merged += any({20, 21} <= set(decode_run(run)[0].tolist())
+                      for run in runs)
+    assert merged and across
