@@ -11,8 +11,8 @@ Architecture (Ray-Data-first, see SURVEY.md):
              ``app/helpers/es.py:489-517``).
 - tokenizer: the single deterministic analysis chain shared by index build
              and query side (reference ``app/helpers/utils.py:522-534``).
-- index:     SPIMI posting construction inside ``map_batches`` actors,
-             two-level (term-bucket x doc-range) groupby shuffle into
+- index:     SPIMI posting construction in ``map_batches`` tasks, then
+             one merge task per term bucket (x doc-range part) into
              delta-encoded bit-packed block-max posting segments with
              per-partition manifests (resumable).
 - query:     exact TAAT BM25 oracle + block-max pruning top-k engine;

@@ -1,40 +1,45 @@
-"""Inverted-index build: shuffle-free SPIMI encode tasks -> one groupby
-shuffle over *compressed runs* -> tiered merge into block-max posting
-segments, with per-partition manifests.
+"""Inverted-index build: stateless SPIMI encode tasks write compressed
+run files, then one merge task per bucket (or per bucket doc-range
+part) turns its runs into a term-sorted block-max posting segment, with
+per-partition manifests.
 
 Reference analogue: this work lived inside Elasticsearch/Lucene and was
 invisible to /root/reference (SURVEY.md §2.4 ST5); the batch-accumulate
 precedent is the analyzers' eval-batch dicts
 (/root/reference/app/analyzers/terms.py:75-101).
 
-Pipeline (all Ray Data; doc_id dense, assigned at corpus generation):
+Pipeline (Ray Data tasks; doc_id dense, assigned at corpus generation):
 
   read_parquet(pages, columns=[doc_id, html|text])
     -> map_batches(spimi_encode_batch, tasks)      # classic SPIMI: tokenize
          (inside the html buffer for html input), per-(doc,term) tf, sort,
          delta+bitpack (codec.encode_blocks) -> one COMPRESSED run row per
-         (term, batch); doclens side files
+         (term, batch), rows clustered by bucket; doclens side files
     -> write runs/                                 # checkpoint boundary:
                                                    # resume skips re-tokenize
-    -> read runs -> groupby(bucket).map_groups     # tiered merge: concat
-         (order runs by first_doc, byte-concat)    # doc-disjoint runs
-    -> write segments/ (partitioned by bucket, term-sorted)
+    -> one task per (bucket, doc-range part)       # planned on the driver
+         reads only its runs row groups            # from runs footers: no
+         -> _merge_bucket_group                    # shuffle, no all-to-all
+    -> write segments/bucket=<b>/ (term-sorted)
   stats.json: N, total_len, avgdl, config, throughput metrics
 
-Why runs shuffle, not postings shuffle: raw postings are ~50x more rows
-than run rows (one row per (term, batch) instead of per (term, doc)), and
-runs are already delta+bitpacked — the all-to-all exchange moves
-compressed bytes.  Measured on 1M docs this cut the build's shuffle from
-the dominant cost to noise.
+Run rows stay columns from encode to segment: ``runs_table`` assembles a
+run table from an ``encode_blocks`` result and ``flat_runs`` is its
+inverse, so the SPIMI encode, the bucket merge and compaction
+(index/mutate.py) work on flat block arrays, with no Python per row.
+
+Why runs, not postings, cross the stage boundary: raw postings are ~50x
+more rows than run rows (one row per (term, batch) instead of per
+(term, doc)), and runs are already delta+bitpacked, so the merge reads
+compressed bytes.
 
 Skew handling: a Zipf-hot term's postings arrive as many doc-disjoint
-runs (one per batch) that merge by metadata-level byte concat
-(codec.concat_runs) — never a re-decode, never a single giant group of
-raw postings.  At 10^12 docs the merge groupby key gains the run's
-``rng`` (doc-range) column already emitted here, making the merge
-hierarchical per (bucket, doc-range) with bounded group payload; the
-query reader already concats multiple segment rows per term in first_doc
-order, so both layouts read identically.
+runs (one per batch) that merge at the metadata level — block lists and
+payload offsets regrouped at term boundaries — never a re-decode, never
+a single giant group of raw postings.  ``merge_parts > 1`` makes the
+merge hierarchical per (bucket, doc-range ``rng``) so each task's input
+stays bounded; the query reader concats a term's segment rows across
+part files in first_doc order, so both layouts read identically.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ import pyarrow.parquet as pq
 
 from ..extract import HtmlExtract
 from ..tokenizer import tokenize_column
-from .codec import (EncodedRun, decode_merged, encode_blocks,
-                    encode_postings)
+from .codec import (EncodedRun, decode_blocks, encode_blocks,
+                    gather_positions)
 
 DEFAULT_NUM_BUCKETS = 32
 DEFAULT_DOC_RANGE_SIZE = 1 << 20  # doc-range granularity recorded on runs
@@ -96,21 +101,111 @@ _RUN_SCHEMA = pa.schema([
 _RUN_SCHEMA_POS = _RUN_SCHEMA.append(pa.field("positions", pa.list_(pa.int32())))
 
 
-def _run_to_row(term: str, bucket: int, rng: int, run: EncodedRun) -> dict:
-    return {
+def runs_table(enc: EncodedRun, run_blocks: np.ndarray, term: pa.Array,
+               bucket: np.ndarray, rng: np.ndarray,
+               positions: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> pa.Table:
+    """The Arrow run table of ``enc``, an ``encode_blocks`` result (or a
+    ``flat_runs`` view) holding runs back to back, run ``r`` from block
+    ``run_blocks[r]`` on: one row per run with its ``term``, ``bucket``
+    and ``rng``.  The payload bytes ARE the Binary column's data buffer,
+    sliced per run; block offsets turn run-relative.  ``positions`` is
+    (flat in-doc positions in posting order, count per run)."""
+    r_bounds = np.append(run_blocks, len(enc.block_len))
+    run_byte = np.append(enc.block_offset, len(enc.payload))[r_bounds]
+    n = len(run_blocks)
+    # py_buffer wraps the offsets and the payload bytes zero-copy
+    payload = pa.BinaryArray.from_buffers(
+        pa.binary(), n, [None, pa.py_buffer(run_byte.astype(np.int32)),
+                         pa.py_buffer(enc.payload)])
+    loff = pa.array(r_bounds, type=pa.int64())
+
+    def lst(arr, typ):
+        return pa.ListArray.from_arrays(loff, pa.array(arr.astype(typ)))
+
+    cols = {
         "term": term,
-        "bucket": bucket,
-        "rng": rng,
-        "first_doc": int(run.block_first_doc[0]),
-        "df": run.n_postings,
-        "payload": run.payload,
-        "block_len": run.block_len.tolist(),
-        "block_offset": run.block_offset.tolist(),
-        "block_first_doc": run.block_first_doc.tolist(),
-        "block_last_doc": run.block_last_doc.tolist(),
-        "block_max_tf": run.block_max_tf.tolist(),
-        "block_min_dl": run.block_min_dl.tolist(),
+        "bucket": pa.array(bucket, type=pa.int32()),
+        "rng": pa.array(rng, type=pa.int32()),
+        "first_doc": pa.array(enc.block_first_doc[run_blocks],
+                              type=pa.int64()),
+        "df": pa.array(np.add.reduceat(enc.block_len.astype(np.int64),
+                                       run_blocks)),
+        "payload": payload,
+        "block_len": lst(enc.block_len, np.int32),
+        "block_offset": lst(enc.block_offset
+                            - run_byte[:-1].repeat(np.diff(r_bounds)),
+                            np.int64),
+        "block_first_doc": lst(enc.block_first_doc, np.int64),
+        "block_last_doc": lst(enc.block_last_doc, np.int64),
+        "block_max_tf": lst(enc.block_max_tf, np.int32),
+        "block_min_dl": lst(enc.block_min_dl, np.int32),
     }
+    if positions is None:
+        return pa.table(cols).cast(_RUN_SCHEMA)
+    flat, counts = positions
+    cols["positions"] = pa.ListArray.from_arrays(
+        pa.array(np.concatenate(([0], np.cumsum(counts))), type=pa.int64()),
+        pa.array(flat.astype(np.int32)))
+    return pa.table(cols).cast(_RUN_SCHEMA_POS)
+
+
+def _array(col) -> pa.Array:
+    """A (chunked) column as one array, not copied if it has one chunk."""
+    if isinstance(col, pa.ChunkedArray):
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    return col
+
+
+def flat_list(col) -> tuple[np.ndarray, np.ndarray]:
+    """A list column's values and each row's (``n + 1``) offsets."""
+    col = _array(col)
+    offs = col.offsets.to_numpy().astype(np.int64)
+    return col.values.to_numpy()[offs[0]:offs[-1]], offs - offs[0]
+
+
+def flat_runs(table: pa.Table) -> tuple[EncodedRun, np.ndarray, np.ndarray]:
+    """The inverse of ``runs_table``: a (non-empty) run table's rows back
+    to back as ONE run — the payload is a view of the payload column's
+    bytes, not a copy, and block offsets are absolute in it — plus each
+    row's first block and each row's payload base (both ``n + 1``
+    long).  Row ``i``'s run is blocks ``[blocks[i], blocks[i + 1])`` and
+    bytes ``[base[i], base[i + 1])``."""
+    pay = _array(table["payload"])
+    p_off = np.frombuffer(pay.buffers()[1], dtype=np.int32)[
+        pay.offset:pay.offset + len(pay) + 1].astype(np.int64)
+    base = p_off - p_off[0]
+    lens, blocks = flat_list(table["block_len"])
+
+    def flat(name, typ):
+        return flat_list(table[name])[0].astype(typ, copy=False)
+
+    run = EncodedRun(
+        payload=memoryview(pay.buffers()[2]).cast("B")[p_off[0]:p_off[-1]],
+        block_len=lens.astype(np.int32, copy=False),
+        block_offset=flat("block_offset", np.int64)
+        + base[:-1].repeat(np.diff(blocks)),
+        block_first_doc=flat("block_first_doc", np.int64),
+        block_last_doc=flat("block_last_doc", np.int64),
+        block_max_tf=flat("block_max_tf", np.int32),
+        block_min_dl=flat("block_min_dl", np.int32),
+    )
+    return run, blocks, base
+
+
+def decode_rows(run: EncodedRun, blocks: np.ndarray, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The postings of rows ``rows`` of a ``flat_runs`` view, back to
+    back, in ONE ``decode_blocks`` call -> (doc_ids, tfs, dls).  dls
+    repeat each source block's min_dl: a lower bound of the true dls, so
+    block-max bounds stay valid (codec.decode_merged; exact scores read
+    the doclens sidecar)."""
+    sel = gather_positions(np.arange(len(run.block_len)), np.diff(blocks),
+                           rows)
+    lens = run.block_len[sel]
+    d, tf = decode_blocks(run.payload, run.block_offset[sel], lens,
+                          run.block_first_doc[sel])
+    return d, tf, run.block_min_dl[sel].astype(np.int64).repeat(lens)
 
 
 def write_segment_table(table: pa.Table, path: str,
@@ -145,18 +240,6 @@ def write_segment_table(table: pa.Table, path: str,
     with pq.ParquetWriter(path, table.schema) as w:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             w.write_table(table.slice(lo, hi - lo))
-
-
-def _row_to_run(row) -> EncodedRun:
-    return EncodedRun(
-        payload=row["payload"],
-        block_len=np.asarray(row["block_len"], dtype=np.int32),
-        block_offset=np.asarray(row["block_offset"], dtype=np.int64),
-        block_first_doc=np.asarray(row["block_first_doc"], dtype=np.int64),
-        block_last_doc=np.asarray(row["block_last_doc"], dtype=np.int64),
-        block_max_tf=np.asarray(row["block_max_tf"], dtype=np.int32),
-        block_min_dl=np.asarray(row["block_min_dl"], dtype=np.int32),
-    )
 
 
 def spimi_encode_batch(batch: pa.Table, *, doclens_dir: str,
@@ -281,56 +364,17 @@ def _encode_terms_vectorized(u_term: np.ndarray, doc: np.ndarray,
                              doc_range_size: int,
                              positions: np.ndarray | None = None) -> pa.Table:
     """Encode ALL terms' posting runs of one batch with ONE
-    ``codec.encode_blocks`` call (no per-term Python) and assemble the
-    Arrow columns directly — the payload buffer IS the Binary column's
-    data buffer, sliced per term."""
-    n = len(u_term)
+    ``codec.encode_blocks`` call (no per-term Python) and assemble them
+    with ``runs_table``.  ``positions`` are the flat in-doc positions
+    aligned with the (term, doc) posting stream."""
     t_starts = np.flatnonzero(np.diff(u_term, prepend=-1))
     enc, r_bstarts = encode_blocks(doc, tf, dl, t_starts)
-    # run r holds blocks [r_bounds[r], r_bounds[r+1]) and payload bytes
-    # [run_byte[r], run_byte[r+1])
-    r_bounds = np.append(r_bstarts, len(enc.block_len))
-    run_byte = np.append(enc.block_offset, len(enc.payload))[r_bounds]
     run_term = u_term[t_starts]
-    # py_buffer wraps the offsets and the payload bytes zero-copy
-    payload = pa.BinaryArray.from_buffers(
-        pa.binary(), len(t_starts),
-        [None, pa.py_buffer(run_byte.astype(np.int32)),
-         pa.py_buffer(enc.payload)])
-    rel_block_offset = enc.block_offset - np.repeat(run_byte[:-1],
-                                                    np.diff(r_bounds))
-    loff = pa.array(r_bounds, type=pa.int64())
-
-    def lst(arr, typ):
-        return pa.ListArray.from_arrays(loff, pa.array(arr.astype(typ)))
-
-    cols = {
-        "term": dictionary.take(pa.array(run_term)),
-        "bucket": pa.array(bucket_per_dict[run_term], type=pa.int32()),
-        "rng": pa.array((doc[t_starts] // doc_range_size).astype(np.int32)),
-        "first_doc": pa.array(doc[t_starts], type=pa.int64()),
-        "df": pa.array(np.diff(t_starts, append=n), type=pa.int64()),
-        "payload": payload,
-        "block_len": lst(enc.block_len, np.int32),
-        "block_offset": lst(rel_block_offset, np.int64),
-        "block_first_doc": lst(enc.block_first_doc, np.int64),
-        "block_last_doc": lst(enc.block_last_doc, np.int64),
-        "block_max_tf": lst(enc.block_max_tf, np.int32),
-        "block_min_dl": lst(enc.block_min_dl, np.int32),
-    }
-    if positions is None:
-        return pa.table(cols).cast(_RUN_SCHEMA)
-    # flat in-doc positions aligned with the (term, doc) posting stream;
-    # run r (one per term within a batch part) covers postings
-    # [t_starts[r], t_starts[r+1]), so its positions slice is the
-    # cumulative-tf range at those boundaries
-    cum_tf = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(tf, out=cum_tf[1:])
-    pos_off = cum_tf[np.append(t_starts, n)]
-    cols["positions"] = pa.ListArray.from_arrays(
-        pa.array(pos_off, type=pa.int64()),
-        pa.array(positions.astype(np.int32)))
-    return pa.table(cols).cast(_RUN_SCHEMA_POS)
+    return runs_table(
+        enc, r_bstarts, dictionary.take(pa.array(run_term)),
+        bucket_per_dict[run_term], doc[t_starts] // doc_range_size,
+        None if positions is None
+        else (positions, np.add.reduceat(tf, t_starts)))
 
 
 _EXTRACT = HtmlExtract()
@@ -351,126 +395,62 @@ def _write_doclens(doclens_dir: str, doc_ids: np.ndarray, dls: np.ndarray) -> No
 
 
 def _merge_bucket_group(group: pa.Table) -> pa.Table:
-    """Tiered merge: all runs of one bucket -> one merged run per term,
-    term-sorted output; per-term runs byte-concatenated in first_doc
-    order.
+    """Tiered merge: all runs of one bucket -> one run per term,
+    term-sorted, each term's runs concatenated in first_doc order.
 
-    Vectorized over the flattened Arrow arrays: block metadata lists are
-    concatenated wholesale (child arrays are already in row order after
-    the sort), block byte-offsets are shifted by each run's payload base
-    via one repeat+add, and per-term payloads are joined as buffers.  A
-    per-term Python fallback (decode, merge, re-encode) only triggers for
-    the rare interleaved-range case.
+    A term whose runs chain (each run's docs all precede the next run's)
+    concatenates at the metadata level: ``runs_table`` over the group's
+    ``flat_runs`` regroups the list and payload offsets at term
+    boundaries, with no Python per term and no copy of the payload
+    bytes.  Interleaved terms (a batch reaching into a later doc range)
+    go first, all together: one ``decode_blocks`` over their rows, a
+    stable (term, doc) ``lexsort`` that carries the positions along, one
+    ``encode_blocks``; their one-row replacements then chain.
     """
+    import pyarrow.compute as pc
+
     has_pos = "positions" in group.column_names
     if group.num_rows == 0:
         return (_RUN_SCHEMA_POS if has_pos else _RUN_SCHEMA).empty_table()
     group = group.sort_by([("term", "ascending"), ("rng", "ascending"),
                            ("first_doc", "ascending")])
-    bucket = int(group["bucket"][0].as_py())
     n = group.num_rows
-
-    term_arr = group["term"]
-    if isinstance(term_arr, pa.ChunkedArray):
-        term_arr = term_arr.combine_chunks()
-    terms = np.asarray(term_arr.to_pandas(), dtype=object)
-    df = group["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    payload_col = group["payload"]
-    if isinstance(payload_col, pa.ChunkedArray):
-        payload_col = payload_col.combine_chunks()
-    payloads = payload_col.to_pylist()  # list of bytes (buffer views)
-    pay_len = np.fromiter((len(p) for p in payloads), dtype=np.int64, count=n)
-
-    def flat(col_name, dtype):
-        col = group[col_name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        values = col.values.to_numpy(zero_copy_only=False).astype(dtype)
-        offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        return values, offs
-
-    pos_vals = pos_off = None
-    if has_pos:
-        pos_vals, pos_off = flat("positions", np.int32)
-    bl_len, l_off = flat("block_len", np.int32)
-    bl_offset, _ = flat("block_offset", np.int64)
-    bl_first, _ = flat("block_first_doc", np.int64)
-    bl_last, _ = flat("block_last_doc", np.int64)
-    bl_maxtf, _ = flat("block_max_tf", np.int32)
-    bl_mindl, _ = flat("block_min_dl", np.int32)
-    blocks_per_row = l_off[1:] - l_off[:-1]
-
-    # merge-group boundaries: one group per term
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = terms[1:] != terms[:-1]
-    t_starts = np.flatnonzero(change)
-    t_ends = np.append(t_starts[1:], n)
-
-    # payload byte base per row, restarting at each term group
-    pay_cum = np.concatenate([[0], np.cumsum(pay_len)[:-1]])
-    group_base = np.repeat(pay_cum[t_starts], t_ends - t_starts)
-    row_base = pay_cum - group_base                       # per-row shift
-    shifted_offsets = bl_offset + np.repeat(row_base, blocks_per_row)
-
-    # chainability per term: every run's last doc < next run's first doc
-    row_first = group["first_doc"].to_numpy(zero_copy_only=False)
-    row_last = bl_last[l_off[1:] - 1]                     # last block's last doc
-    ok_pair = np.empty(n, dtype=bool)
-    ok_pair[0] = True
-    ok_pair[1:] = (row_last[:-1] < row_first[1:]) | change[1:]
-    chainable_term = np.logical_and.reduceat(ok_pair if n else ok_pair,
-                                             t_starts)
-
-    out_rows = []
-    l_cum = l_off  # list offsets into flattened block arrays
-    for ti, (s, e) in enumerate(zip(t_starts, t_ends)):
-        fs, fe = l_cum[s], l_cum[e]
-        if chainable_term[ti]:
-            row = {
-                "term": terms[s],
-                "bucket": bucket,
-                "rng": 0,
-                "first_doc": int(row_first[s]),
-                "df": int(df[s:e].sum()),
-                "payload": b"".join(payloads[s:e]),
-                "block_len": bl_len[fs:fe].tolist(),
-                "block_offset": shifted_offsets[fs:fe].tolist(),
-                "block_first_doc": bl_first[fs:fe].tolist(),
-                "block_last_doc": bl_last[fs:fe].tolist(),
-                "block_max_tf": bl_maxtf[fs:fe].tolist(),
-                "block_min_dl": bl_mindl[fs:fe].tolist(),
-            }
-            if has_pos:
-                # runs' positions concatenate in the same order as their
-                # postings (per-run flat slices are contiguous post-sort)
-                row["positions"] = pos_vals[pos_off[s]:pos_off[e]].tolist()
-            out_rows.append(row)
-        else:
-            # rare fallback: interleaved ranges -> decode, doc-sort,
-            # re-encode (positions reordered to the merged doc order)
-            runs = [
-                EncodedRun(
-                    payload=payloads[k],
-                    block_len=bl_len[l_cum[k]:l_cum[k + 1]],
-                    block_offset=bl_offset[l_cum[k]:l_cum[k + 1]],
-                    block_first_doc=bl_first[l_cum[k]:l_cum[k + 1]],
-                    block_last_doc=bl_last[l_cum[k]:l_cum[k + 1]],
-                    block_max_tf=bl_maxtf[l_cum[k]:l_cum[k + 1]],
-                    block_min_dl=bl_mindl[l_cum[k]:l_cum[k + 1]],
-                )
-                for k in range(s, e)
-            ]
-            d, t, dls, pos = decode_merged(
-                runs, pos_vals[pos_off[s]:pos_off[e]] if has_pos else None)
-            row = _run_to_row(terms[s], bucket, 0,
-                              encode_postings(d, t, dls))
-            if has_pos:
-                row["positions"] = pos.tolist()
-            out_rows.append(row)
-    return pa.Table.from_pylist(
-        out_rows, schema=_RUN_SCHEMA_POS if has_pos else _RUN_SCHEMA)
+    run, blocks, _ = flat_runs(group)
+    terms = _array(group["term"])
+    bucket = group["bucket"].to_numpy()
+    pos = flat_list(group["positions"]) if has_pos else None
+    new_term = np.ones(n, dtype=bool)
+    new_term[1:] = pc.not_equal(terms.slice(1), terms.slice(0, n - 1)) \
+        .to_numpy(zero_copy_only=False)
+    t_starts = np.flatnonzero(new_term)
+    # a term's rows chain when each starts after the previous one ends
+    chain = new_term.copy()
+    chain[1:] |= run.block_last_doc[blocks[1:-1] - 1] \
+        < run.block_first_doc[blocks[1:-1]]
+    row_term = np.cumsum(new_term) - 1
+    loose = ~np.logical_and.reduceat(chain, t_starts)[row_term]
+    if loose.any():
+        rows = np.flatnonzero(loose)
+        d, tf, dl = decode_rows(run, blocks, rows)
+        p_term = row_term[rows].repeat(group["df"].to_numpy()[rows])
+        order = np.lexsort((d, p_term))
+        starts = np.flatnonzero(np.diff(p_term, prepend=-1))
+        enc, r_bstarts = encode_blocks(d[order], tf[order], dl[order], starts)
+        first = t_starts[p_term[starts]]
+        merged = runs_table(
+            enc, r_bstarts, terms.take(first), bucket[first],
+            np.zeros(len(first), dtype=np.int32),
+            None if pos is None else (
+                gather_positions(gather_positions(pos[0], np.diff(pos[1]),
+                                                  rows), tf, order),
+                np.add.reduceat(tf[order], starts)))
+        return _merge_bucket_group(pa.concat_tables(
+            [group.filter(pa.array(~loose)), merged.cast(group.schema)]))
+    return runs_table(
+        run, blocks[t_starts], terms.take(t_starts), bucket[t_starts],
+        np.zeros(len(t_starts), dtype=np.int32),
+        None if pos is None
+        else (pos[0], np.add.reduceat(np.diff(pos[1]), t_starts)))
 
 
 def build_index(pages_path: str, index_dir: str, *,
@@ -478,7 +458,6 @@ def build_index(pages_path: str, index_dir: str, *,
                 doc_range_size: int = DEFAULT_DOC_RANGE_SIZE,
                 from_html: bool = True,
                 batch_size: int = 8192,
-                concurrency: int | tuple | None = None,
                 merge_parts: int = 1,
                 store_positions: bool = False,
                 overwrite: bool = False) -> dict:
@@ -521,21 +500,9 @@ def build_index(pages_path: str, index_dir: str, *,
             return json.load(f)
 
     if not os.path.exists(runs_manifest):
-        cols = ["doc_id", "html"] if from_html else ["doc_id", "text"]
-        ds = ray.data.read_parquet(pages_path, columns=cols)
-        from functools import partial
-
-        runs = ds.map_batches(
-            partial(spimi_encode_batch,
-                    doclens_dir=doclens_dir,
-                    num_buckets=num_buckets,
-                    doc_range_size=doc_range_size,
-                    from_html=from_html,
-                    store_positions=store_positions),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        runs.write_parquet(runs_dir, row_group_size=512)
+        _write_runs(pages_path, index_dir, num_buckets=num_buckets,
+                    doc_range_size=doc_range_size, from_html=from_html,
+                    batch_size=batch_size, store_positions=store_positions)
         t_runs = time.time()
         with open(runs_manifest + ".tmp", "w") as f:
             json.dump({"pages_path": pages_path, "num_buckets": num_buckets,
@@ -713,6 +680,48 @@ def build_index(pages_path: str, index_dir: str, *,
     return stats
 
 
+def _write_runs(pages_path, index_dir: str, *, num_buckets: int,
+                doc_range_size: int, from_html: bool, batch_size: int,
+                store_positions: bool) -> None:
+    """The SPIMI stage: encode ``pages_path`` into run files under
+    ``index_dir/runs`` (unique names, so an append adds files beside the
+    existing ones) and doclens side files under ``index_dir/doclens``."""
+    from functools import partial
+
+    import ray.data
+
+    cols = ["doc_id", "html"] if from_html else ["doc_id", "text"]
+    ray.data.read_parquet(pages_path, columns=cols).map_batches(
+        partial(spimi_encode_batch,
+                doclens_dir=os.path.join(index_dir, "doclens"),
+                num_buckets=num_buckets,
+                doc_range_size=doc_range_size,
+                from_html=from_html,
+                store_positions=store_positions),
+        batch_format="pyarrow", batch_size=batch_size,
+    ).write_parquet(os.path.join(index_dir, "runs"), row_group_size=512)
+
+
+def remerge_index(index_dir: str, stats: dict, *,
+                  merge_parts: int = 1) -> dict:
+    """Drop the merge outputs (``segments/``, their manifest and
+    ``stats.json``) and re-run the per-bucket merge from ``runs/``: the
+    runs manifest is kept, so ``build_index`` resumes from the runs and
+    re-tokenizes nothing.  ``stats`` is the index's previous stats."""
+    import shutil
+
+    shutil.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
+    for p in ("segments.manifest.json", "stats.json"):
+        fp = os.path.join(index_dir, p)
+        if os.path.exists(fp):
+            os.remove(fp)
+    return build_index(stats["pages_path"], index_dir,
+                       num_buckets=stats["num_buckets"],
+                       doc_range_size=stats["doc_range_size"],
+                       merge_parts=merge_parts,
+                       store_positions=stats.get("store_positions", False))
+
+
 def append_to_index(new_pages_path, index_dir: str, *,
                     from_html: bool = True,
                     batch_size: int = 8192) -> dict:
@@ -720,29 +729,24 @@ def append_to_index(new_pages_path, index_dir: str, *,
     existing corpus) into an existing index — the log-structured update
     path: tokenize+encode ONLY the new documents into additional run
     files, then re-run the per-bucket tiered merge over old+new runs
-    (byte concat of doc-disjoint runs; old documents are never
-    re-tokenized).  Stats and segments refresh; the runs checkpoint stays
-    the source of truth.
+    (old documents are never re-tokenized).  Stats and segments refresh;
+    the runs checkpoint stays the source of truth.
     """
     import glob as _glob
 
-    import ray.data
-
-    stats_path = os.path.join(index_dir, "stats.json")
-    with open(stats_path) as f:
+    with open(os.path.join(index_dir, "stats.json")) as f:
         old_stats = json.load(f)
-    num_buckets = old_stats["num_buckets"]
-    doc_range_size = old_stats["doc_range_size"]
-    # positional indexes must append positional runs — mixed run schemas
-    # would crash the per-bucket merge (flag persisted at build time)
-    store_positions = old_stats.get("store_positions", False)
 
-    # append-only contract: new doc ids must lie beyond every existing id
-    dl_files = sorted(_glob.glob(os.path.join(index_dir, "doclens", "*.parquet")))
+    # append-only contract: new doc ids must lie beyond every existing
+    # id, whose exact max is in the doc_id (column 0) footer statistics
+    # of every doclens file — no data page is read
     max_existing = -1
-    for fpath in dl_files[-4:]:  # files are named by min doc_id, sorted
-        d = pq.read_table(fpath, columns=["doc_id"])["doc_id"]
-        max_existing = max(max_existing, int(d[len(d) - 1].as_py()))
+    for fpath in _glob.glob(os.path.join(index_dir, "doclens", "*.parquet")):
+        md = pq.read_metadata(fpath)
+        for g in range(md.num_row_groups):
+            st = md.row_group(g).column(0).statistics
+            if st is not None and st.has_min_max:
+                max_existing = max(max_existing, int(st.max))
     if isinstance(new_pages_path, str) and os.path.isfile(new_pages_path):
         new_files = [new_pages_path]
     elif isinstance(new_pages_path, str):
@@ -759,20 +763,13 @@ def append_to_index(new_pages_path, index_dir: str, *,
         raise ValueError(
             f"append requires new doc_ids > {max_existing}; got min {new_min}")
 
-    from functools import partial
-
-    cols = ["doc_id", "html"] if from_html else ["doc_id", "text"]
-    ds = ray.data.read_parquet(new_pages_path, columns=cols)
-    runs = ds.map_batches(
-        partial(spimi_encode_batch,
-                doclens_dir=os.path.join(index_dir, "doclens"),
-                num_buckets=num_buckets,
-                doc_range_size=doc_range_size,
-                from_html=from_html,
-                store_positions=store_positions),
-        batch_format="pyarrow", batch_size=batch_size)
-    # additional run files land next to the existing ones (unique names)
-    runs.write_parquet(os.path.join(index_dir, "runs"), row_group_size=512)
+    # positional indexes must append positional runs — mixed run schemas
+    # would crash the per-bucket merge (flag persisted at build time)
+    _write_runs(new_pages_path, index_dir,
+                num_buckets=old_stats["num_buckets"],
+                doc_range_size=old_stats["doc_range_size"],
+                from_html=from_html, batch_size=batch_size,
+                store_positions=old_stats.get("store_positions", False))
 
     # lineage: record the appended source paths so key-based upsert
     # resolution (mutate.resolve_doc_ids_by_key) can scan docs that
@@ -781,17 +778,4 @@ def append_to_index(new_pages_path, index_dir: str, *,
         f.write(json.dumps({"paths": (
             [new_pages_path] if isinstance(new_pages_path, str)
             else list(new_pages_path))}) + "\n")
-
-    # invalidate merge outputs; the build resumes FROM RUNS (manifest kept)
-    import shutil
-
-    shutil.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
-    for p in ("segments.manifest.json", "stats.json"):
-        fp = os.path.join(index_dir, p)
-        if os.path.exists(fp):
-            os.remove(fp)
-    return build_index(old_stats["pages_path"], index_dir,
-                       num_buckets=num_buckets,
-                       doc_range_size=doc_range_size,
-                       from_html=from_html, batch_size=batch_size,
-                       store_positions=store_positions)
+    return remerge_index(index_dir, old_stats)

@@ -17,11 +17,12 @@ in-place rewrites:
   ``append_to_index`` path for the new versions (fresh doc_ids beyond the
   existing range, same contract as append).
 - ``compact_index`` makes deletes physical: every runs file is rewritten
-  without the tombstoned postings (decode -> mask -> re-encode, skipping
-  untouched files/rows by doc-span), doclens drop the deleted rows, the
-  tiered merge re-runs from the rewritten runs, and the tombstones are
-  dropped LAST — so an interrupted compaction is harmless (tombstones
-  still mask whatever wasn't rewritten, and re-running it converges).
+  without the tombstoned postings (decode -> mask -> re-encode of the
+  rows whose doc span holds a tombstone), doclens drop the deleted rows,
+  the tiered merge re-runs from the rewritten runs, and the tombstones
+  are dropped LAST — so an interrupted compaction is harmless
+  (tombstones still mask whatever wasn't rewritten, and re-running it
+  converges).
 
 Replaces what the reference delegates to Elasticsearch deletes/updates —
 ``remove_all_outliers`` / bulk update flushes
@@ -29,11 +30,14 @@ Replaces what the reference delegates to Elasticsearch deletes/updates —
 log-structured semantics.
 
 Scale notes: tombstones ship to compaction tasks as one ``ray.put``
-broadcast (sorted int64 ids; a delete batch is small-side by definition);
-per-task input is one runs file (the same partition unit the merge uses),
-and re-encode reuses each source block's min_dl expanded per posting — a
-documented lower bound (codec.merge_runs), valid for block-max upper
-bounds, while exact scoring always reads the doclens sidecar.
+broadcast (sorted int64 ids; a delete batch is small-side by definition).
+Per-task input is one runs file, kept as columns (``build.flat_runs``):
+the task decodes all its dirty rows in one ``decode_blocks`` call and
+re-encodes the changed ones in one ``encode_blocks`` call, so its cost
+follows the postings it touches, not its row count.  Re-encode reuses
+each source block's min_dl expanded per posting — a documented lower
+bound (codec.merge_runs), valid for block-max upper bounds, while exact
+scoring always reads the doclens sidecar.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .build import _row_to_run, build_index
-from .codec import decode_run, encode_postings, gather_positions
+from .build import (decode_rows, flat_list, flat_runs, remerge_index,
+                    runs_table)
+from .codec import encode_blocks, gather_positions
 
 
 def _tombstone_files(index_dir: str) -> list[str]:
@@ -147,46 +152,58 @@ def upsert_to_index(new_pages_path, index_dir: str, *,
             "n_tombstones_total": del_info["n_tombstones_total"]}
 
 
-def _filter_run_row(row: dict, tombs: np.ndarray,
-                    has_positions: bool) -> dict | None:
-    """Rewrite one runs row without tombstoned postings; None if empty,
-    the row unchanged if no posting is tombstoned."""
-    run = _row_to_run(row)
-    lo = int(run.block_first_doc[0])
-    hi = int(run.block_last_doc[-1])
-    s, e = np.searchsorted(tombs, [lo, hi + 1])
-    if s == e:  # no tombstone falls inside this run's doc span
-        return row
-    doc_ids, tfs = decode_run(run)
-    keep = np.ones(len(doc_ids), dtype=bool)
-    pos = np.searchsorted(tombs, doc_ids)
-    inb = pos < len(tombs)
-    keep[inb] = tombs[pos[inb]] != doc_ids[inb]
-    if keep.all():
-        return row
-    if not keep.any():
+def _compact_runs(t: pa.Table, tombs: np.ndarray) -> pa.Table | None:
+    """A runs table without the postings of ``tombs`` (sorted doc ids),
+    or None when none of its postings is tombstoned.  The rows whose doc
+    span holds a tombstone decode in ONE ``decode_blocks`` call, and the
+    changed ones re-encode in ONE ``encode_blocks`` call; each keeps its
+    ``rng`` and its place, and a row left with no posting is dropped."""
+    if t.num_rows == 0:
         return None
-    # per-posting dl from the source block's min_dl: a valid lower bound
-    # (see codec.merge_runs) — exact scores come from the doclens sidecar
-    dls = np.repeat(run.block_min_dl.astype(np.int64),
-                    run.block_len.astype(np.int64))
-    from .build import _run_to_row
-
-    new = encode_postings(doc_ids[keep], tfs[keep], dls[keep])
-    out = _run_to_row(row["term"], int(row["bucket"]), int(row["rng"]), new)
-    if has_positions:
-        out["positions"] = gather_positions(
-            np.asarray(row["positions"], dtype=np.int32), tfs,
-            np.flatnonzero(keep)).tolist()
-    return out
+    run, blocks, _ = flat_runs(t)
+    # dirty rows: a tombstone falls inside the row's doc span
+    dirty = np.flatnonzero(
+        np.searchsorted(tombs, run.block_first_doc[blocks[:-1]])
+        < np.searchsorted(tombs, run.block_last_doc[blocks[1:] - 1],
+                          side="right"))
+    d, tf, dl = decode_rows(run, blocks, dirty)
+    keep = tombs[np.minimum(np.searchsorted(tombs, d), len(tombs) - 1)] != d
+    df = t["df"].to_numpy()[dirty]
+    n_kept = np.add.reduceat(keep.astype(np.int64), np.cumsum(df) - df)
+    changed = n_kept < df
+    if not changed.any():
+        return None
+    keep &= changed.repeat(df)
+    fresh = changed & (n_kept > 0)
+    repl = dirty[fresh]
+    # output row order: a replacement (appended after ``t``) takes its
+    # row's place, and an emptied row goes
+    src = np.arange(t.num_rows)
+    src[repl] = t.num_rows + np.arange(len(repl))
+    src = np.delete(src, dirty[n_kept == 0])
+    if not len(repl):
+        return t.take(src)
+    live = np.flatnonzero(keep)
+    starts = np.cumsum(n_kept[fresh]) - n_kept[fresh]
+    enc, r_bstarts = encode_blocks(d[live], tf[live], dl[live], starts)
+    pos = None
+    if "positions" in t.column_names:
+        pv, po = flat_list(t["positions"])
+        pos = (gather_positions(gather_positions(pv, np.diff(po), dirty),
+                                tf, live),
+               np.add.reduceat(tf[live], starts))
+    fresh_rows = runs_table(enc, r_bstarts, t["term"].take(repl),
+                            t["bucket"].to_numpy()[repl],
+                            t["rng"].to_numpy()[repl], pos)
+    return pa.concat_tables([t, fresh_rows.cast(t.schema)]).take(src)
 
 
 def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
     """Physically remove tombstoned postings and re-run the tiered merge.
 
     One Ray task per runs file (the merge's own partition unit), each
-    writing atomically (tmp+rename); files whose doc span contains no
-    tombstone are left untouched.  Crash-safe: tombstones are removed
+    writing atomically (tmp+rename); files with no tombstoned posting
+    are left untouched.  Crash-safe: tombstones are removed
     only after runs, doclens, and the re-merge all land — a partial
     compaction still serves correct (tombstone-masked) results and
     re-running converges."""
@@ -205,22 +222,9 @@ def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
     @ray.remote
     def _compact_file(path: str) -> int:
         t = pq.read_table(path)
-        tb = ray.get(tomb_ref)
-        has_pos = "positions" in t.schema.names
-        # file-level skip: no tombstone inside the file's doc span
-        first = t["first_doc"].to_numpy(zero_copy_only=False)
-        last = np.asarray([bl[-1] for bl in
-                           t["block_last_doc"].to_pylist()], dtype=np.int64) \
-            if t.num_rows else np.zeros(0, dtype=np.int64)
-        if t.num_rows:
-            s, e = np.searchsorted(tb, [int(first.min()), int(last.max()) + 1])
-            if s == e:
-                return 0
-        rows = [r for r in (
-            _filter_run_row(row, tb, has_pos) for row in t.to_pylist())
-            if r is not None]
-        new = pa.Table.from_pylist(rows, schema=t.schema) if rows \
-            else t.schema.empty_table()
+        new = _compact_runs(t, ray.get(tomb_ref))
+        if new is None:
+            return 0
         tmp = path + f".tmp{os.getpid()}"
         pq.write_table(new, tmp, row_group_size=512)
         os.rename(tmp, path)
@@ -250,19 +254,8 @@ def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
     n_docs_removed = sum(ray.get([_compact_doclens.remote(p)
                                   for p in dl_files]))
 
-    # invalidate merge outputs; rebuild resumes FROM the rewritten runs
-    shutil.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
-    for p in ("segments.manifest.json", "stats.json"):
-        fp = os.path.join(index_dir, p)
-        if os.path.exists(fp):
-            os.remove(fp)
-    new_stats = build_index(stats["pages_path"], index_dir,
-                            num_buckets=stats["num_buckets"],
-                            doc_range_size=stats["doc_range_size"],
-                            from_html=True,
-                            merge_parts=merge_parts,
-                            store_positions=stats.get("store_positions",
-                                                      False))
+    # the tiered merge re-runs FROM the rewritten runs
+    new_stats = remerge_index(index_dir, stats, merge_parts=merge_parts)
     # tombstones drop LAST: until here every reader stays correct
     shutil.rmtree(os.path.join(index_dir, "tombstones"), ignore_errors=True)
     return {**new_stats, "n_compacted": int(len(tombs)),

@@ -91,6 +91,37 @@ def test_append_rejects_overlapping_ids(tmp_path):
         append_to_index(sorted(glob.glob(os.path.join(d, "*.parquet"))), idx)
 
 
+def test_append_rejects_ids_below_max_of_any_doclens_file(tmp_path):
+    """Doc 599 swapped into the first batch: the doclens files are then
+    named ...000, ...020, ...100 ... ...400, and the largest id sits in
+    the file named ...000.  Ids 550-699 collide with existing docs and
+    must be refused."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    gen = str(tmp_path / "gen")
+    generate_pages(gen, total_rows=600, num_files=1, seed=42)
+    t = pq.read_table(gen).sort_by("doc_id")
+    order = np.arange(600)
+    order[[20, 599]] = order[[599, 20]]
+    os.makedirs(tmp_path / "pages")
+    pq.write_table(t.take(order), str(tmp_path / "pages" / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "pages"), idx, num_buckets=2, batch_size=100)
+    names = sorted(os.listdir(os.path.join(idx, "doclens")))
+    assert names[:2] == ["doclens-00000000000000.parquet",
+                         "doclens-00000000000020.parquet"]
+
+    new = t.slice(0, 150).set_column(
+        0, "doc_id", pa.array(range(550, 700), type=pa.int64()))
+    new_file = str(tmp_path / "new.parquet")
+    pq.write_table(new, new_file)
+    with pytest.raises(ValueError, match="append requires new doc_ids > 599"):
+        append_to_index([new_file], idx, batch_size=100)
+    assert IndexReader(idx).n_docs == 600
+
+
 def test_heavy_hitter_term_skew_split_across_merge_parts(tmp_path):
     """Worst-case term skew (a stopword in EVERY doc — the north-star's
     heavy-hitter case): the engine never shuffles raw postings, so the
@@ -137,9 +168,8 @@ def test_heavy_hitter_term_skew_split_across_merge_parts(tmp_path):
         "hot term should span multiple merge part files"
     seen = []
     for _, t in hot_parts:
-        for r in t.to_pylist():
-            from ee_outliers_ray.index.build import _row_to_run
-            seen.append(decode_run(_row_to_run(r))[0])
+        from ee_outliers_ray.index.build import flat_runs
+        seen.append(decode_run(flat_runs(t)[0])[0])
     all_docs = np.sort(np.concatenate(seen))
     assert len(all_docs) == n                      # every doc, exactly once
     assert len(np.unique(all_docs)) == n           # disjoint parts

@@ -100,6 +100,47 @@ def test_compaction_preserves_results_and_drops_tombstones(corpus, tmp_path):
     assert compact_index(idx)["n_compacted"] == 0
 
 
+@pytest.mark.parametrize("positional", [False, True])
+def test_compaction_postings_equal_filtered_reader(corpus, tmp_path,
+                                                   positional):
+    """Term by term, the postings (and positions) after compaction equal
+    what the tombstone-filtered reader served before it; a term whose
+    every posting is deleted vanishes from the runs."""
+    from ee_outliers_ray.index.codec import decode_run
+
+    idx = str(tmp_path / "idx")
+    build_index(corpus, idx, num_buckets=4, batch_size=100,
+                store_positions=positional)
+    r0 = IndexReader(idx)
+    gone = r0.rarest_terms(1)[0][0]
+    drop = np.union1d(np.arange(0, 600, 7),
+                      decode_run(r0.postings(gone))[0])
+    delete_from_index(idx, drop)
+    r1 = IndexReader(idx)
+    terms = r1.directory.dictionary()[0].to_pylist()
+    assert gone in terms
+
+    def served(r):
+        out = {}
+        for t in terms:
+            run = r.postings(t)
+            if run is None:
+                continue
+            out[t] = [a.tolist() for a in decode_run(run)]
+            if positional:
+                out[t].append(r.positions(t)[2].tolist())
+        return out
+
+    before = served(r1)
+    assert gone not in before
+    compact_index(idx)
+    r2 = IndexReader(idx)
+    assert r2.deleted is None
+    assert served(r2) == before
+    runs = pq.read_table(os.path.join(idx, "runs"), columns=["term"])
+    assert gone not in set(runs["term"].to_pylist())
+
+
 def test_delete_filters_positions(tmp_path):
     src = str(tmp_path / "src.parquet")
     pq.write_table(pa.table({

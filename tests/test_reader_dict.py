@@ -14,14 +14,16 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray.data
 
 from ee_outliers_ray.corpus import generate_pages
-from ee_outliers_ray.index.build import (_row_to_run, append_to_index,
-                                         build_index)
-from ee_outliers_ray.index.codec import merge_runs, runs_chainable
+from ee_outliers_ray.index.build import (_merge_bucket_group, append_to_index,
+                                         build_index, flat_runs)
+from ee_outliers_ray.index.codec import (decode_merged, merge_runs,
+                                         runs_chainable)
 from ee_outliers_ray.index.mutate import compact_index, delete_from_index
 from ee_outliers_ray.query.dsl import build_search, filter_by_dsl
 from ee_outliers_ray.query.parse import filter_by_query_string
@@ -78,13 +80,19 @@ def _predicate_rows(reader, term):
     return rows
 
 
+def _row_run(row):
+    """One segment row (a dict) as its run: ``flat_runs`` of a one-row
+    table."""
+    return flat_runs(pa.Table.from_pylist([row]))[0]
+
+
 def _predicate_postings(reader, term):
     """The reference: a predicate read of every file in the term's
     bucket, rows merged in first_doc order, tombstones filtered."""
     rows = _predicate_rows(reader, term)
     if not rows:
         return None
-    run = merge_runs([_row_to_run(r) for r in rows])
+    run = merge_runs([_row_run(r) for r in rows])
     if reader.deleted is not None:
         run = reader._filter_tombstoned(run)
     return run
@@ -114,9 +122,53 @@ def test_postings_equal_predicate_read(parts_index, deleted_index, which):
         rows = _predicate_rows(ref, t)
         assert r.meta_df(t) == sum(row["df"] for row in rows), t
         multi += len(rows) > 1
-        interleaved += not runs_chainable([_row_to_run(x) for x in rows])
+        interleaved += not runs_chainable([_row_run(x) for x in rows])
     # the fixture really exercises multi-row and interleaved merges
     assert multi and interleaved
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_merge_bucket_group_equals_merge_runs(parts_index, tmp_path,
+                                              positional):
+    """All runs of a bucket merged as ONE group, so the fixture's
+    interleaved terms meet in one call: every output row equals
+    ``codec.merge_runs`` of that term's input rows, and its positions
+    equal ``codec.decode_merged``'s."""
+    idx = parts_index
+    if positional:
+        idx = str(tmp_path / "pos")
+        build_index(os.path.join(os.path.dirname(parts_index), "pages"), idx,
+                    num_buckets=4, doc_range_size=64, batch_size=100,
+                    merge_parts=3, store_positions=True)
+    runs = pq.read_table(os.path.join(idx, "runs"))
+    interleaved = 0
+    for b in range(4):
+        group = runs.filter(pc.equal(runs["bucket"], b))
+        by_term: dict = {}
+        for row in group.sort_by([("rng", "ascending"),
+                                  ("first_doc", "ascending")]).to_pylist():
+            by_term.setdefault(row["term"], []).append(row)
+        out = _merge_bucket_group(group)
+        assert out.column("term").to_pylist() == sorted(by_term)
+        for row in out.to_pylist():
+            rows = by_term[row["term"]]
+            ins = [_row_run(r) for r in rows]
+            got, want = _row_run(row), merge_runs(ins)
+            for f in RUN_COLUMNS:
+                a, w = getattr(got, f), getattr(want, f)
+                if f == "payload":
+                    assert a == w, (row["term"], f)
+                else:
+                    assert a.dtype == w.dtype and np.array_equal(a, w), \
+                        (row["term"], f)
+            assert (row["rng"], row["first_doc"], row["df"]) == \
+                (0, int(want.block_first_doc[0]), want.n_postings)
+            if positional:
+                flat = np.concatenate([r["positions"] for r in rows])
+                assert row["positions"] == \
+                    decode_merged(ins, flat)[3].tolist(), row["term"]
+            interleaved += not runs_chainable(ins)
+    assert interleaved
 
 
 def _absent_in_bucket(reader, bucket, n):
