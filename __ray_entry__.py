@@ -102,17 +102,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     is pinned instead by a forced-branch pytest (distributed path ==
     driver path exactly) and the 1M-doc recall datum in BASELINE.md.
 
-    Post-freeze additions (repetition_scores, gopher_filter, pii_scrub,
-    decontaminate, lm_perplexity, quality_resample, source_mix,
-    stratified_sample, chunk_docs, url_host_stats, top_ngrams,
-    more_like_this — all NEW operators, all SQL-oracled — plus
-    bpe_train (iterative) and ann_pq (lossy quantization), rows-only)
-    are APPENDED at the very tail rather than inserted in the
-    text-analysis group: the window is exactly 50 entries, so an
-    in-group insert would push the 50th entry out of external checking.
-    New code that displaces nothing loses nothing by sitting at the
-    tail — it was never in any driver window — and the session-local
-    DuckDB parity check covers it like every other oracled tail entry.
+    Post-freeze additions (top_ngrams, more_like_this — both NEW
+    operators that do term-statistics or index work, both SQL-oracled)
+    are APPENDED at the very tail rather than inserted in their groups:
+    the window is exactly 50 entries, so an in-group insert would push
+    the 50th entry out of external checking.  The session-local DuckDB
+    parity check covers them like every other oracled tail entry.  A
+    tail entry that does neither index nor term-statistics work has no
+    place here.  The first 50 keys are pinned by
+    tests/test_oracle_parity.py.
 
     search_or (BM25 minimum_should_match, SQL-oracled, post-freeze)
     instead closes the full-text/index group: it took the window slot
@@ -202,51 +200,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "word2vec_outliers": P.word2vec_outliers,
         "embedding_dups": P.embedding_dups,
         # ---- tail: post-freeze r5 additions ----
-        # NEW late-r5 operator, appended at the very tail so the frozen
-        # 50-entry window is untouched (inserting in the text-analysis
-        # group would push the 50th entry out of the externally checked
-        # window).  SQL-oracled and parity-checked every pytest session
-        # like every other tail oracle.
-        "repetition_scores": P.repetition,
-        # Fused Gopher quality FILTER (one tokenize pass -> signals +
-        # keep decision) — same post-freeze append-only placement.
-        "gopher_filter": P.gopher_quality_filter,
-        # PII detection + redaction (RE2 count/replace kernels; the
-        # entry plants synthetic PII deterministically from doc_id,
-        # mirrored exactly by the SQL oracle) — post-freeze append.
-        "pii_scrub": P.pii_scrub_docs,
-        # Benchmark decontamination (broadcast n-gram hash set, rolling
-        # shingle-hash membership per window) — post-freeze append.
-        "decontaminate": P.decontaminate_docs,
-        # CCNet-style bigram-LM perplexity scoring (partial-aggregated
-        # counts -> broadcast model -> searchsorted lookups) —
-        # post-freeze append.
-        "lm_perplexity": P.lm_perplexity_docs,
-        # Deterministic quality-weighted resampling (floor(w) copies +
-        # mix64-decided fractional copy) — post-freeze append.
-        "quality_resample": P.quality_resample,
-        # Per-(source, lang) data-mixing stats (docs, tokens, mean doc
-        # length, token share) — post-freeze append.
-        "source_mix": P.source_mix,
-        # Deterministic per-source cap downsample (mix64 threshold per
-        # source; the mixing op that flattens over-represented
-        # sources) — post-freeze append.
-        "stratified_sample": P.stratified_sample,
-        # BPE tokenizer training (distributed word-count pass -> driver
-        # merge loop over the vocab table, the SentencePiece/HF shape).
-        # Iterative, so no SQL oracle (driver check is rows-only);
-        # pinned by tests/test_bpe_train.py against an independently
-        # coded dict-based reference — post-freeze append.
-        "bpe_train": P.bpe_train_docs,
-        # Fixed-size token chunking (training-context preparation; the
-        # splitting counterpart of packed_sequences) — post-freeze
-        # append.
-        "chunk_docs": P.chunk_docs,
-        # Canonical-URL dedup stats per host (urls.py: the cheapest CC
-        # dedup signal; raw-url synthesis deterministic from doc_id,
-        # regex chain shared verbatim with the oracle) — post-freeze
-        # append, SQL-oracled.
-        "url_host_stats": P.url_host_stats,
         # Top-k word bigrams by corpus frequency (collocation /
         # contamination-screen stats; textstats.ngram_counts) —
         # post-freeze append, SQL-oracled.
@@ -255,12 +208,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # BM25 minimum_should_match OR query, source excluded —
         # post-freeze append, SQL-oracled.
         "more_like_this": P.more_like_this,
-        # Product-quantization ANN recall table (similarity.PqIndex:
-        # m-byte codes, ADC scan — the 10^12-vector memory-reduction
-        # path).  Deterministic; rows-only (quantization is lossy by
-        # construction, no exactness gate exists); recall floor
-        # pytest-gated — post-freeze append.
-        "ann_pq": P.ann_pq,
     }
 
 
@@ -441,176 +388,8 @@ def oracle_sql() -> dict[str, str]:
             JOIN sizes sa ON sa.doc_id = id_a
             JOIN sizes sb ON sb.doc_id = id_b
             WHERE inter::DOUBLE / (sa.n + sb.n - inter) >= 0.5"""
-    # PII oracle: the patterns are interpolated from textstats.PII_PATTERNS
-    # verbatim (both engines run RE2) and the redaction nest preserves the
-    # tuple's sequential order; the synthetic-PII augmentation mirrors
-    # pipelines.pii_scrub_docs.aug arithmetically.
-    from ee_outliers_ray.textstats import PII_PATTERNS as _PII
-    pii_aug = """
-              text
-              || CASE WHEN doc_id % 7 = 0 THEN
-                   ' contact user' || doc_id || '@example.com now'
-                 ELSE '' END
-              || CASE WHEN doc_id % 11 = 0 THEN
-                   ' src 10.' || (doc_id % 256) || '.0.'
-                   || ((doc_id * 7) % 256) || ' end'
-                 ELSE '' END
-              || CASE WHEN doc_id % 13 = 0 THEN
-                   ' call 555-' || (100 + doc_id % 900) || '-'
-                   || (1000 + (doc_id * 3) % 9000) || ' now'
-                 ELSE '' END"""
-    pii_counts = ",\n                   ".join(
-        f"len(regexp_extract_all(text, '{pat}'))::BIGINT AS {name}"
-        for name, _tag, pat in _PII)
-    pii_red = "text"
-    for _name, tag, pat in _PII:
-        pii_red = f"regexp_replace({pii_red}, '{pat}', '{tag}', 'g')"
-    pii_sql = f"""
-            WITH aug AS (SELECT doc_id, {pii_aug} AS text FROM documents)
-            SELECT doc_id,
-                   {pii_counts},
-                   {pii_red} AS redacted
-            FROM aug"""
-    # URL oracle: raw-url synthesis mirrors pipelines.url_host_stats.aug
-    # arithmetically; the canonicalization regex chain is interpolated
-    # verbatim from urls.CANON_STEPS (both engines run the same rules —
-    # the PII_PATTERNS stance).
-    from ee_outliers_ray import urls as _u
-    cu = f"regexp_replace(url, '{_u.FRAGMENT_PAT}', '', 'g')"
-    cu = (f"lower(regexp_extract({cu}, '{_u.AUTHORITY_PAT}')) || "
-          f"regexp_replace({cu}, '{_u.AUTHORITY_PAT}', '')")
-    for _pat, _repl in _u.CANON_STEPS:
-        cu = f"regexp_replace({cu}, '{_pat}', '{_repl}', 'g')"
-    url_sql = f"""
-            WITH h AS (
-              SELECT doc_id, source, doc_id % 17 AS k,
-                     'www.' || source || '-' || ((doc_id % 17) % 5)
-                     || '.example.com' AS hh
-              FROM documents),
-            raw AS (
-              SELECT (CASE WHEN doc_id % 2 = 0 THEN 'HTTP://'
-                           ELSE 'http://' END)
-                     || (CASE WHEN doc_id % 3 = 0 THEN upper(hh)
-                              ELSE hh END)
-                     || (CASE WHEN doc_id % 5 = 0 THEN ':80' ELSE '' END)
-                     || '/p/' || (k % 11)
-                     || (CASE WHEN doc_id % 4 = 0 THEN '/' ELSE '' END)
-                     || (CASE WHEN k % 6 = 0 THEN
-                           '?utm_source=feed&ref=' || (k % 3)
-                         WHEN k % 6 = 3 THEN '?id=' || (k % 7)
-                         ELSE '' END)
-                     || (CASE WHEN doc_id % 9 = 0 THEN '#sec' ELSE '' END)
-                     AS url
-              FROM h),
-            canon AS (SELECT {cu} AS u FROM raw)
-            SELECT regexp_extract(u, '{_u.HOST_PAT}', 2) AS host,
-                   count(*) AS n_docs,
-                   count(DISTINCT u) AS n_urls,
-                   count(*) - count(DISTINCT u) AS dup_docs
-            FROM canon GROUP BY host"""
-    n, mod = P.DECON_N, P.DECON_MOD
-    decon_sql = f"""
-            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
-            bench AS (SELECT DISTINCT array_to_string(toks[1:{n}], ' ') AS g
-                      FROM t WHERE doc_id % {mod} = 0 AND len(toks) >= {n}),
-            win AS (SELECT doc_id, toks,
-                           unnest(range(1, len(toks) - {n - 2})) AS i
-                    FROM t WHERE len(toks) >= {n}),
-            grams AS (SELECT DISTINCT doc_id,
-                             array_to_string(toks[i:i+{n - 1}], ' ') AS g
-                      FROM win),
-            hits AS (SELECT gr.doc_id, count(*) AS nh
-                     FROM grams gr JOIN bench b ON gr.g = b.g GROUP BY 1)
-            SELECT t.doc_id, coalesce(h.nh, 0)::BIGINT AS n_bench_hits,
-                   (coalesce(h.nh, 0) > 0)::BIGINT AS contaminated
-            FROM t LEFT JOIN hits h ON t.doc_id = h.doc_id"""
-    # bigram-LM nll: 0.1::DOUBLE forces float64 math (a bare 0.1 literal
-    # is DECIMAL in DuckDB and would round the intermediates differently
-    # from the numpy kernel); operator precedence c + a*V matches the
-    # kernel's cv + alpha * n_vocab exactly.
-    lm_sql = f"""
-            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
-            uc AS (SELECT term, count(*) AS c
-                   FROM (SELECT unnest(toks) AS term FROM t) GROUP BY 1),
-            vs AS (SELECT count(*) AS v FROM uc),
-            bg AS (SELECT doc_id, toks[i] AS v, toks[i+1] AS w
-                   FROM (SELECT doc_id, toks,
-                                unnest(range(1, len(toks))) AS i
-                         FROM t WHERE len(toks) >= 2)),
-            bc AS (SELECT v, w, count(*) AS c FROM bg GROUP BY 1, 2),
-            lp AS (SELECT bg.doc_id,
-                          ln((bc.c + 0.1::DOUBLE)
-                             / (uc.c + 0.1::DOUBLE * vs.v)) AS l
-                   FROM bg JOIN bc USING (v, w)
-                   JOIN uc ON uc.term = bg.v CROSS JOIN vs),
-            agg AS (SELECT doc_id, sum(l) AS s, count(*) AS nb
-                    FROM lp GROUP BY 1)
-            SELECT t.doc_id, len(t.toks)::BIGINT AS n_tokens,
-                   round(coalesce(-agg.s / agg.nb, 0.0), 6) AS bigram_nll
-            FROM t LEFT JOIN agg ON t.doc_id = agg.doc_id"""
-    # quality-weighted resampling: w = 16 * stopword_ratio (the
-    # quality_scores oracle's exact rounded expression); the fractional
-    # copy compares mix64 as DOUBLE against frac(w) * 2^64 with every
-    # operand explicitly DOUBLE so both engines do identical float64
-    # arithmetic (bare literals are DECIMAL in DuckDB).
-    resample_sql = f"""
-            WITH {_ohs.mix64_of_id_cte()},
-            q AS (SELECT doc_id,
-                    16.0::DOUBLE * (CASE WHEN len(toks) > 0 THEN
-                      round(len(list_filter(toks,
-                        x -> list_contains({stop_list}, x)))::DOUBLE
-                            / len(toks), 6) ELSE 0.0 END) AS w
-                  FROM (SELECT doc_id, {TOK} AS toks FROM documents)),
-            n AS (SELECT q.doc_id,
-                    (floor(w) + CASE WHEN h.mx::DOUBLE <
-                         (w - floor(w)) * 18446744073709551616.0::DOUBLE
-                       THEN 1 ELSE 0 END)::BIGINT AS n
-                  FROM q JOIN h USING (doc_id))
-            SELECT doc_id, unnest(range(n)) AS copy FROM n WHERE n > 0"""
-    # per-(source, lang) mixing stats; both engines compute mean/share as
-    # float64 divisions of int64 sums, rounded half-away to 6 dp
-    source_mix_sql = f"""
-            WITH t AS (SELECT source, lang, len({TOK}) AS n FROM documents),
-            g AS (SELECT source, lang, count(*) AS n_docs,
-                         sum(n)::BIGINT AS n_tokens
-                  FROM t GROUP BY 1, 2),
-            tot AS (SELECT sum(n_tokens)::DOUBLE AS tt FROM g)
-            SELECT source, lang, n_docs, n_tokens,
-                   round(n_tokens::DOUBLE / n_docs, 6) AS mean_tokens,
-                   round(n_tokens::DOUBLE / tot.tt, 6) AS token_share
-            FROM g, tot"""
-    # stratified downsample: keep when the source is at/under the cap, or
-    # when mix64(doc_id) viewed as DOUBLE falls under (cap/n) * 2^64 —
-    # identical float64 arithmetic on both sides (every operand DOUBLE)
-    strat_sql = f"""
-            WITH {_ohs.mix64_of_id_cte()},
-            s AS (SELECT source, count(*) AS n FROM documents GROUP BY 1)
-            SELECT d.doc_id, d.source
-            FROM documents d JOIN s USING (source) JOIN h USING (doc_id)
-            WHERE s.n <= {P.STRAT_CAP} OR h.mx::DOUBLE <
-                  ({P.STRAT_CAP}::DOUBLE / s.n::DOUBLE)
-                  * 18446744073709551616.0::DOUBLE"""
-    # fixed-size token chunking: DuckDB list slices are 1-based,
-    # end-inclusive and clamped, so chunk j (0-based) is
-    # toks[j*K+1 : (j+1)*K]
-    K = P.CHUNK_SIZE
-    chunk_sql = f"""
-            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
-            n AS (SELECT doc_id, toks, len(toks) AS n FROM t
-                  WHERE len(toks) > 0),
-            c AS (SELECT doc_id, toks, n,
-                         unnest(range(0, (n + {K - 1}) // {K})) AS chunk_id
-                  FROM n)
-            SELECT doc_id, chunk_id,
-                   least({K}, n - chunk_id * {K})::BIGINT AS n_chunk_tokens,
-                   array_to_string(toks[chunk_id * {K} + 1
-                                        : (chunk_id + 1) * {K}],
-                                   ' ') AS chunk_text
-            FROM c"""
     return {
         "dedup_ngram": jaccard_sql,
-        "pii_scrub": pii_sql,
-        "url_host_stats": url_sql,
         "top_ngrams": f"""
             WITH tok AS (SELECT {TOK} AS l FROM documents),
             w AS (SELECT l, unnest(range(1, len(l))) AS i
@@ -618,12 +397,6 @@ def oracle_sql() -> dict[str, str]:
             grams AS (SELECT l[i] || ' ' || l[i+1] AS gram FROM w)
             SELECT gram, count(*) AS c FROM grams
             GROUP BY gram ORDER BY c DESC, gram LIMIT 20""",
-        "decontaminate": decon_sql,
-        "lm_perplexity": lm_sql,
-        "quality_resample": resample_sql,
-        "source_mix": source_mix_sql,
-        "stratified_sample": strat_sql,
-        "chunk_docs": chunk_sql,
         "token_counts":
             f"SELECT doc_id, len({TOK}) AS n_tokens FROM documents",
         "term_df": f"""
@@ -1077,72 +850,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN (SELECT doc_id, count(*) AS dup_cover
                   FROM cov GROUP BY doc_id) c USING (doc_id)
             ORDER BY doc_id""",
-        # Gopher-style repetition fractions: token multiplicities via
-        # GROUP BY, bigrams via zipped unnest of the two shifted list
-        # slices (DuckDB aligns multiple unnests in one SELECT).  Docs
-        # with no tokens score 0.0 everywhere; single-token docs have no
-        # bigrams (0.0) — mirrored by the engine kernel's masks.
-        "repetition_scores": f"""
-            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
-            u AS (SELECT doc_id, unnest(toks) AS term FROM t),
-            tc AS (SELECT doc_id, term, count(*) AS c
-                   FROM u GROUP BY doc_id, term),
-            agg AS (SELECT doc_id, sum(c) AS n, count(*) AS nd,
-                           max(c) AS top_c
-                    FROM tc GROUP BY doc_id),
-            bgl AS (SELECT doc_id, unnest(toks[1:len(toks)-1]) AS t1,
-                           unnest(toks[2:len(toks)]) AS t2
-                    FROM t WHERE len(toks) >= 2),
-            bc AS (SELECT doc_id, t1, t2, count(*) AS c
-                   FROM bgl GROUP BY doc_id, t1, t2),
-            bagg AS (SELECT doc_id, max(c) AS top_bc FROM bc GROUP BY doc_id)
-            SELECT t.doc_id,
-                   CASE WHEN coalesce(agg.n, 0) > 0 THEN
-                     round((agg.n - agg.nd)::DOUBLE / agg.n, 6)
-                   ELSE 0.0 END AS dup_token_frac,
-                   CASE WHEN coalesce(agg.n, 0) > 0 THEN
-                     round(agg.top_c::DOUBLE / agg.n, 6)
-                   ELSE 0.0 END AS top_token_frac,
-                   CASE WHEN coalesce(agg.n, 0) >= 2 THEN
-                     round(coalesce(bagg.top_bc, 0)::DOUBLE / (agg.n - 1), 6)
-                   ELSE 0.0 END AS top_bigram_frac
-            FROM t
-            LEFT JOIN agg ON t.doc_id = agg.doc_id
-            LEFT JOIN bagg ON t.doc_id = bagg.doc_id""",
-        # Fused Gopher quality filter: the same token-multiplicity CTEs
-        # as repetition_scores plus the stopword count, rounded to 6 dp
-        # BEFORE the threshold gates (both sides gate on the rounded
-        # value, so the keep decision is bit-reproducible).
-        "gopher_filter": f"""
-            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
-            u AS (SELECT doc_id, unnest(toks) AS term FROM t),
-            tc AS (SELECT doc_id, term, count(*) AS c
-                   FROM u GROUP BY doc_id, term),
-            agg AS (SELECT doc_id, sum(c) AS n, count(*) AS nd,
-                           max(c) AS top_c,
-                           coalesce(sum(c) FILTER (
-                             list_contains({stop_list}, term)), 0)
-                             AS n_stop
-                    FROM tc GROUP BY doc_id),
-            sig AS (SELECT t.doc_id,
-                      coalesce(agg.n, 0)::BIGINT AS n_tokens,
-                      CASE WHEN coalesce(agg.n, 0) > 0 THEN
-                        round((agg.n - agg.nd)::DOUBLE / agg.n, 6)
-                      ELSE 0.0 END AS dup_token_frac,
-                      CASE WHEN coalesce(agg.n, 0) > 0 THEN
-                        round(agg.top_c::DOUBLE / agg.n, 6)
-                      ELSE 0.0 END AS top_token_frac,
-                      CASE WHEN coalesce(agg.n, 0) > 0 THEN
-                        round(agg.n_stop::DOUBLE / agg.n, 6)
-                      ELSE 0.0 END AS stopword_ratio
-                    FROM t LEFT JOIN agg ON t.doc_id = agg.doc_id)
-            SELECT doc_id, n_tokens, dup_token_frac, top_token_frac,
-                   stopword_ratio,
-                   CASE WHEN n_tokens >= 20 AND dup_token_frac <= 0.6
-                             AND top_token_frac <= 0.12
-                             AND stopword_ratio >= 0.01
-                        THEN 1 ELSE 0 END::BIGINT AS keep
-            FROM sig""",
-        # no oracle (approximate / iterative / lossy — justified):
-        # embedding_dups, word2vec_outliers, bpe_train, ann_pq
+        # no oracle (approximate / iterative — justified):
+        # embedding_dups, word2vec_outliers
     }

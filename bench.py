@@ -170,8 +170,7 @@ def pipeline_timings() -> dict:
              "terms_within_median", "metrics_value_mad_outliers",
              "sudden_appearance", "dedup_exact", "dedup_minhash",
              "dedup_ngram", "ann_cosine", "quality_scores", "langid",
-             "search_or", "more_like_this", "url_host_stats",
-             "top_ngrams"]
+             "search_or", "more_like_this", "top_ngrams"]
     fns = {
         "bm25_topk": P.bm25_topk, "term_df": P.term_df,
         "top_terms": P.top_terms, "pricing_summary": P.pricing_summary,
@@ -184,7 +183,7 @@ def pipeline_timings() -> dict:
         "langid": P.langid_documents,
         # late-r5 additions (post-freeze registry tail)
         "search_or": P.search_or, "more_like_this": P.more_like_this,
-        "url_host_stats": P.url_host_stats, "top_ngrams": P.top_ngrams,
+        "top_ngrams": P.top_ngrams,
     }
     # GRAFT_BENCH_DEDUP_DISTRIBUTED=1 also times dedup_minhash with the
     # driver gates zeroed (distributed pair gen + sharded-store verify —

@@ -663,6 +663,7 @@ def build_index(pages_path: str, index_dir: str, *,
         "avgdl": (total_len / n_docs_total) if n_docs_total else 0.0,
         "num_buckets": num_buckets,
         "doc_range_size": doc_range_size,
+        "merge_parts": merge_parts,
         "store_positions": store_positions,
         "pages_path": pages_path,
         "wall_s_total": time.time() - t0,
@@ -702,12 +703,13 @@ def _write_runs(pages_path, index_dir: str, *, num_buckets: int,
     ).write_parquet(os.path.join(index_dir, "runs"), row_group_size=512)
 
 
-def remerge_index(index_dir: str, stats: dict, *,
-                  merge_parts: int = 1) -> dict:
+def remerge_index(index_dir: str, stats: dict) -> dict:
     """Drop the merge outputs (``segments/``, their manifest and
     ``stats.json``) and re-run the per-bucket merge from ``runs/``: the
     runs manifest is kept, so ``build_index`` resumes from the runs and
-    re-tokenizes nothing.  ``stats`` is the index's previous stats."""
+    re-tokenizes nothing.  ``stats`` is the index's previous stats; the
+    build's bucket, range, merge-part and position settings come from
+    it."""
     import shutil
 
     shutil.rmtree(os.path.join(index_dir, "segments"), ignore_errors=True)
@@ -718,7 +720,7 @@ def remerge_index(index_dir: str, stats: dict, *,
     return build_index(stats["pages_path"], index_dir,
                        num_buckets=stats["num_buckets"],
                        doc_range_size=stats["doc_range_size"],
-                       merge_parts=merge_parts,
+                       merge_parts=stats.get("merge_parts", 1),
                        store_positions=stats.get("store_positions", False))
 
 

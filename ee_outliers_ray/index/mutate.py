@@ -198,7 +198,7 @@ def _compact_runs(t: pa.Table, tombs: np.ndarray) -> pa.Table | None:
     return pa.concat_tables([t, fresh_rows.cast(t.schema)]).take(src)
 
 
-def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
+def compact_index(index_dir: str) -> dict:
     """Physically remove tombstoned postings and re-run the tiered merge.
 
     One Ray task per runs file (the merge's own partition unit), each
@@ -255,7 +255,7 @@ def compact_index(index_dir: str, *, merge_parts: int = 1) -> dict:
                                   for p in dl_files]))
 
     # the tiered merge re-runs FROM the rewritten runs
-    new_stats = remerge_index(index_dir, stats, merge_parts=merge_parts)
+    new_stats = remerge_index(index_dir, stats)
     # tombstones drop LAST: until here every reader stays correct
     shutil.rmtree(os.path.join(index_dir, "tombstones"), ignore_errors=True)
     return {**new_stats, "n_compacted": int(len(tombs)),

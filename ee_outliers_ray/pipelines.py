@@ -958,129 +958,6 @@ def quality(sf_dir: str):
     return quality_scores(read(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
-def repetition(sf_dir: str):
-    """Gopher-style repetition scores (dup-token / top-token / top-bigram
-    fractions) over documents — the repetition-filter half of the quality
-    pipeline (Rae et al. 2021 App. A)."""
-    from .textstats import repetition_scores
-
-    return repetition_scores(read(sf_dir, "documents",
-                                  columns=["doc_id", "text"]))
-
-
-def gopher_quality_filter(sf_dir: str):
-    """Fused Gopher-style quality filter over documents: one tokenize
-    pass emits the gate signals + keep decision (textstats.gopher_filter
-    — the filtering composition the repetition/quality signals exist
-    for)."""
-    from .textstats import gopher_filter
-
-    return gopher_filter(read(sf_dir, "documents",
-                              columns=["doc_id", "text"]))
-
-
-def pii_scrub_docs(sf_dir: str):
-    """PII detection + redaction over documents (textstats.pii_scrub).
-    The testdata corpus carries no natural PII, so this entry plants
-    synthetic emails / IPv4s / phone numbers deterministically from
-    doc_id — the SQL oracle builds the IDENTICAL augmented text — and
-    the generic operator counts + redacts them.  The augmentation is
-    test-input synthesis local to this entry; the operator itself is the
-    corpus-scale stage."""
-    from .textstats import pii_scrub
-
-    ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def aug(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        txt = np.asarray(b["text"].to_pandas(), dtype=np.str_)
-        ids_s = ids.astype(np.str_)
-        em = np.char.add(np.char.add(" contact user", ids_s),
-                         "@example.com now")
-        ip = np.char.add(np.char.add(np.char.add(np.char.add(
-            " src 10.", (ids % 256).astype(np.str_)), ".0."),
-            ((ids * 7) % 256).astype(np.str_)), " end")
-        ph = np.char.add(np.char.add(np.char.add(
-            " call 555-", (100 + ids % 900).astype(np.str_)), "-"),
-            np.char.add((1000 + (ids * 3) % 9000).astype(np.str_), " now"))
-        out = np.char.add(
-            np.char.add(np.char.add(txt, np.where(ids % 7 == 0, em, "")),
-                        np.where(ids % 11 == 0, ip, "")),
-            np.where(ids % 13 == 0, ph, ""))
-        return pa.table({"doc_id": b["doc_id"],
-                         "text": pa.array(out.tolist(), type=pa.string())})
-
-    return pii_scrub(ds.map_batches(aug, batch_format="pyarrow"))
-
-
-# decontamination bench-set parameters, shared with the SQL oracle
-DECON_N = 6
-DECON_MOD = 89
-
-
-def decontaminate_docs(sf_dir: str):
-    """Benchmark decontamination over documents.  The benchmark set is
-    derived deterministically from the corpus itself (the first DECON_N
-    tokens of every ``doc_id % DECON_MOD == 0`` document with at least
-    DECON_N tokens) so the gate is self-contained and SQL-oracle-able;
-    in production the set is an external fixed-size artifact (all
-    n-grams of the eval benchmarks), tiny relative to the corpus —
-    hence the broadcast design in textstats.decontaminate.  The bench
-    derivation collects ~corpus/DECON_MOD short strings to the driver:
-    bounded by construction here, and absent entirely in the external-
-    artifact production shape."""
-    from .textstats import decontaminate
-
-    ds = read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def bench_extract(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = pa.array(ids % DECON_MOD == 0)
-        sub = b.filter(keep)
-        toks = tokenize_column(sub["text"])
-        nlen = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        grams = pc.binary_join(
-            pc.list_slice(toks, 0, DECON_N), " ")
-        t = pa.table({"ngram": grams}).filter(pa.array(nlen >= DECON_N))
-        return t
-
-    bench = [r["ngram"] for r in
-             ds.map_batches(bench_extract, batch_format="pyarrow")
-             .take_all()]
-    return decontaminate(ds, bench, n=DECON_N)
-
-
-def lm_perplexity_docs(sf_dir: str):
-    """CCNet-style bigram-LM quality scores over documents
-    (textstats.lm_perplexity; corpus-trained add-0.1 model so the gate
-    is self-contained — see the operator docstring for the
-    fixed-external-LM production stance)."""
-    from .textstats import lm_perplexity
-
-    return lm_perplexity(read(sf_dir, "documents",
-                              columns=["doc_id", "text"]))
-
-
-def quality_resample(sf_dir: str):
-    """Deterministic quality-weighted resampling over documents: weight
-    w = 16 * stopword_ratio (a proven quality proxy; the multiplier is
-    sized so corpus weights straddle 1 — max ~2.4 — and the gate
-    exercises the guaranteed-copy, fractional and drop paths), then
-    textstats.resample_by_weight emits floor(w) copies plus a
-    mix64(doc_id)-decided fractional copy."""
-    from .textstats import quality_scores, resample_by_weight
-
-    q = quality_scores(read(sf_dir, "documents",
-                            columns=["doc_id", "text"]))
-
-    def addw(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "w", pc.multiply(b["stopword_ratio"], 16.0))
-
-    return resample_by_weight(
-        q.map_batches(addw, batch_format="pyarrow"), "w")
-
-
 def langid_documents(sf_dir: str):
     from .textstats import langid
 
@@ -1097,61 +974,6 @@ def fingerprints(sf_dir: str):
     from .textstats import fingerprint
 
     return fingerprint(read(sf_dir, "documents", columns=["doc_id", "text"]))
-
-
-def source_mix(sf_dir: str):
-    """Data-mixing stats per (source, lang) over documents
-    (textstats.mix_stats — per-batch partial aggregation streaming to a
-    tiny driver fold)."""
-    from .textstats import mix_stats
-
-    return mix_stats(read(sf_dir, "documents",
-                          columns=["text", "source", "lang"]))
-
-
-# per-source cap for stratified_sample, shared with the SQL oracle
-STRAT_CAP = 15
-
-
-def stratified_sample(sf_dir: str, cap: int = STRAT_CAP):
-    """Deterministic per-source cap downsample over documents
-    (textstats.stratified_sample — mix64 float64 threshold per source,
-    bit-reproducible against the SQL oracle because both engines do the
-    identical float64 arithmetic)."""
-    from .textstats import stratified_sample as strat
-
-    return strat(read(sf_dir, "documents", columns=["doc_id", "source"]),
-                 cap=cap)
-
-
-# chunk size for chunk_docs, shared with the SQL oracle
-CHUNK_SIZE = 64
-
-
-def chunk_docs(sf_dir: str):
-    """Fixed-size token chunking over documents
-    (textstats.chunk_documents — the splitting counterpart of
-    pack_sequences for training-context preparation; shuffle-free,
-    deterministic under any parallelism)."""
-    from .textstats import chunk_documents
-
-    return chunk_documents(read(sf_dir, "documents",
-                                columns=["doc_id", "text"]),
-                           chunk_size=CHUNK_SIZE)
-
-
-def bpe_train_docs(sf_dir: str, num_merges: int = 30):
-    """BPE tokenizer training over documents (textstats.bpe_train): a
-    distributed word-count pass streams vocabulary-sized partials to a
-    driver fold, then the merge loop runs over the (word, count) table —
-    the SentencePiece/HF production shape.  Iterative (each merge
-    changes the next iteration's pair counts), so no SQL oracle exists;
-    pinned instead by tests/test_bpe_train.py against an independently
-    coded dict-based reference plus a parallelism-independence check."""
-    from .textstats import bpe_train
-
-    return bpe_train(read(sf_dir, "documents", columns=["text"]),
-                     num_merges=num_merges)
 
 
 def count_events(sf_dir: str):
@@ -1539,50 +1361,6 @@ def whitelist_housekeeping(sf_dir: str):
     })
 
 
-def url_host_stats(sf_dir: str):
-    """Canonical-URL dedup summary per host (urls.url_host_stats).  The
-    testdata carries no url column, so this entry synthesizes
-    Common-Crawl-style raw urls deterministically from (doc_id, source)
-    — mixed-case scheme/host, default :80 ports, utm_* tracking params,
-    trailing slashes, fragments — and the SQL oracle builds the
-    IDENTICAL raw strings and runs the IDENTICAL canonicalization regex
-    chain (urls.CANON_STEPS, interpolated verbatim — the PII_PATTERNS
-    stance).  The synthesis is test-input generation local to this
-    entry; canonicalize + the per-host fold are the corpus-scale
-    stages."""
-    from .urls import url_host_stats as _stats
-
-    ds = read(sf_dir, "documents", columns=["doc_id", "source"])
-
-    def aug(b: pa.Table) -> pa.Table:
-        # canonical-determining parts derive from k = doc_id % 17 so
-        # distinct docs genuinely collapse onto shared canonical urls
-        # (dup_docs > 0); raw-side noise that canonicalization must
-        # erase (scheme/host case, :80, trailing slash, utm, fragment)
-        # derives from doc_id itself.
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        k = ids % 17
-        src = np.asarray(b["source"].to_pandas(), dtype=np.str_)
-        h = np.char.add(np.char.add(np.char.add(np.char.add(
-            "www.", src), "-"), (k % 5).astype(np.str_)), ".example.com")
-        hostp = np.where(ids % 3 == 0, np.char.upper(h), h)
-        url = np.where(ids % 2 == 0, "HTTP://", "http://")
-        url = np.char.add(url.astype(np.str_), hostp)
-        url = np.char.add(url, np.where(ids % 5 == 0, ":80", ""))
-        url = np.char.add(url, np.char.add("/p/", (k % 11).astype(np.str_)))
-        url = np.char.add(url, np.where(ids % 4 == 0, "/", ""))
-        q = np.where(
-            k % 6 == 0,
-            np.char.add("?utm_source=feed&ref=", (k % 3).astype(np.str_)),
-            np.where(k % 6 == 3,
-                     np.char.add("?id=", (k % 7).astype(np.str_)), ""))
-        url = np.char.add(url, q.astype(np.str_))
-        url = np.char.add(url, np.where(ids % 9 == 0, "#sec", ""))
-        return pa.table({"url": pa.array(url.tolist(), type=pa.string())})
-
-    return _stats(ds.map_batches(aug, batch_format="pyarrow"))
-
-
 def top_ngrams(sf_dir: str, n: int = 2, k: int = 20):
     """Top-k word n-grams (bigrams by default) by corpus frequency, ties
     (count desc, gram asc) — collocation / contamination-screen stats
@@ -1639,40 +1417,3 @@ def more_like_this(sf_dir: str, doc_id: int = 7, max_terms: int = 5,
     sel = tuple(sorted(terms[order].tolist()))
     res = TaatSearcher(reader).min_match_topk(sel, min_match, k + 1)
     return _min_match_frame([r for r in res if r[0] != doc_id][:k])
-
-
-def ann_pq(sf_dir: str, k: int = 10, n_queries: int = 5,
-           m: int = 32, ks: int = 256):
-    """Product-quantized ANN recall TABLE (similarity.PqIndex): for each
-    of the fixed query vectors, overlap of the ADC top-k (scanned over
-    m-byte codes only — the float vectors are never read at query time)
-    vs brute-force cosine top-k.  Fully deterministic (shared
-    hash-sorted sample, seeded per-subspace k-means, rounded tie-aware
-    cuts), so the table is stable across runs/parallelism; the recall
-    floor is pytest-gated (tests/test_dedup_sim.py), the same stance as
-    ann_ivf_recall.  PQ cannot have an exactness gate (quantization is
-    lossy by construction) — this entry is rows-only for the driver.
-
-    Defaults: m=32 (dsub=2) on the 64-dim isotropic testdata measures
-    recall 0.7-1.0 (mean 0.84-0.96) across sf0.001-0.1 at 8x
-    compression; m=16 (16x) trades to 0.7-0.9.  Real embedding corpora
-    cluster far better than isotropic noise, so these floors are the
-    hard case."""
-    from .similarity import PqIndex, cosine_topk_multi
-
-    ds = read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    qm, qids = _query_matrix(sf_dir, n_queries)
-    idx = PqIndex(m=m, ks=ks).fit_dataset(ds, max_sample=4096)
-    coded = idx.encode_column(ds).select_columns(["vec_id", "pq_code"])
-    pq_all = idx.adc_topk_multi(coded, qm, qids, k=k)
-    brute = cosine_topk_multi(ds, qm, qids, k=k)
-    if not isinstance(brute, pd.DataFrame):
-        brute = brute.to_pandas()
-    rows = []
-    for qid in qids:
-        a = set(pq_all[pq_all["query_id"] == qid]["vec_id"])
-        b = set(brute[brute["query_id"] == qid]["vec_id"])
-        rows.append({"query_id": int(qid), "k": k,
-                     "n_overlap": len(a & b),
-                     "recall_at_k": round(len(a & b) / k, 6)})
-    return pd.DataFrame(rows)

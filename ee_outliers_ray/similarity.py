@@ -81,7 +81,7 @@ def deterministic_sample(ds, vec_col: str = "embedding",
     the cut — a bare ``.limit()`` would keep whichever blocks finished
     first (block-order-dependent, the CLAUDE.md ann_ivf invariant).
     Independent of Ray's batching/parallelism; the full table never
-    reaches the driver.  Shared by IvfIndex and PqIndex fits."""
+    reaches the driver.  Used by the IvfIndex fit."""
     from .hashing import hash_bytes_segments
 
     n = max(1, ds.count())
@@ -225,144 +225,6 @@ class IvfIndex:
             .to_pandas()
         cand = cand.sort_values(["query_id", "cosine", id_col],
                                 ascending=[True, False, True], kind="stable")
-        return cand.groupby("query_id", sort=True).head(k) \
-            .reset_index(drop=True)
-
-
-class PqIndex:
-    """Product quantization (Jégou et al., "Product Quantization for
-    Nearest Neighbor Search", TPAMI 2011): split each L2-normalized
-    vector into ``m`` subspaces, learn ``ks`` k-means centroids per
-    subspace on the shared deterministic sample, and encode every
-    vector as ``m`` uint8 codes — the classic ANN memory-reduction
-    scale path (a 64-dim float32 vector becomes m bytes: 16x-32x, so a
-    10^12-vector corpus's codes fit in cluster RAM while the raw
-    vectors stay in object storage).  Queries run Asymmetric Distance
-    Computation: one (m x ks) table of query-subvector dot products per
-    query, approx cosine = sum of m table lookups per coded vector —
-    no decode, no float vectors touched at scan time.
-
-    Determinism: same hash-thinned hash-SORTED sample as IvfIndex
-    (``deterministic_sample``), seeded k-means with L2 assignment, so
-    codes, tables and every ANN answer are stable across
-    runs/parallelism (the recall table is pytest-gated, same stance as
-    ann_ivf_recall)."""
-
-    def __init__(self, m: int = 16, ks: int = 256, seed: int = 11,
-                 iters: int = 10):
-        self.m = m
-        self.ks = ks
-        self.seed = seed
-        self.iters = iters
-        self.codebooks: np.ndarray | None = None   # (m, ks, dsub)
-
-    def fit_dataset(self, ds, vec_col: str = "embedding",
-                    max_sample: int = 4096) -> "PqIndex":
-        return self.fit(deterministic_sample(ds, vec_col, max_sample))
-
-    def fit(self, sample: np.ndarray) -> "PqIndex":
-        x = _norm(np.asarray(sample, dtype=np.float64))
-        d = x.shape[1]
-        if d % self.m:
-            raise ValueError(f"dim {d} not divisible by m={self.m}")
-        dsub = d // self.m
-        rng = np.random.default_rng(self.seed)
-        books = np.zeros((self.m, self.ks, dsub), dtype=np.float64)
-        for j in range(self.m):
-            xs = x[:, j * dsub:(j + 1) * dsub]
-            ks = min(self.ks, len(xs))
-            c = xs[rng.choice(len(xs), size=ks, replace=False)]
-            for _ in range(self.iters):
-                # L2 assignment: argmin |v-c|^2 = argmin (|c|^2 - 2 v.c)
-                a = np.argmin((c * c).sum(1)[None, :] - 2.0 * (xs @ c.T),
-                              axis=1)
-                for ci in range(ks):
-                    mem = xs[a == ci]
-                    if len(mem):
-                        c[ci] = mem.mean(axis=0)
-            books[j, :ks] = c
-            if ks < self.ks:
-                books[j, ks:] = c[0]  # degenerate sample: repeat
-        self.codebooks = books
-        return self
-
-    def encode_column(self, ds, vec_col: str = "embedding"):
-        """Distributed encode pass: appends a ``pq_code`` binary column
-        (m bytes per row) — the only column the scan stage needs besides
-        the id."""
-        books = self.codebooks
-        m, ks, dsub = books.shape
-        cc = (books * books).sum(axis=2)            # (m, ks) |c|^2
-
-        def f(b: pa.Table) -> pa.Table:
-            x = _norm(_batch_mat(b, vec_col))
-            n = len(x)
-            codes = np.zeros((n, m), dtype=np.uint8)
-            for j in range(m):
-                xs = x[:, j * dsub:(j + 1) * dsub]
-                codes[:, j] = np.argmin(
-                    cc[j][None, :] - 2.0 * (xs @ books[j].T), axis=1)
-            code_arr = pa.FixedSizeBinaryArray.from_buffers(
-                pa.binary(m), n, [None, pa.py_buffer(codes.tobytes())])
-            return b.append_column("pq_code", code_arr)
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    def adc_topk_multi(self, coded_ds, query_mat: np.ndarray,
-                       query_ids: np.ndarray, k: int = 10,
-                       id_col: str = "vec_id", round_to: int = 6):
-        """All queries' ADC top-k in one pass over the CODES (the float
-        vectors are never read): per-batch, approx cosine for all
-        queries = m gathers into the broadcast (m, ks, nq) tables; the
-        per-batch candidate cut rounds first and keeps ties, exactly
-        the probe_topk_multi convention."""
-        import ray
-
-        from .broadcast import cached_get
-        from .functions import duck_round
-
-        books = self.codebooks
-        m, ks, dsub = books.shape
-        q = _norm(np.asarray(query_mat, dtype=np.float64))
-        qids = np.asarray(query_ids, dtype=np.int64)
-        # tables[j]: (ks, nq) — dot of every centroid with each query's
-        # j-th subvector; approx dot(v, q) = sum_j tables[j][code_j]
-        tables = np.stack([books[j] @ q[:, j * dsub:(j + 1) * dsub].T
-                           for j in range(m)])
-        tref = ray.put(tables)
-
-        def scan(b: pa.Table) -> pa.Table:
-            tabs = cached_get(tref)
-            col = b["pq_code"]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            buf = col.buffers()[-1]
-            codes = np.frombuffer(buf, dtype=np.uint8,
-                                  count=len(col) * m,
-                                  offset=col.offset * m).reshape(-1, m)
-            n = len(codes)
-            nq = tabs.shape[2]
-            s = np.zeros((n, nq), dtype=np.float64)
-            for j in range(m):
-                s += tabs[j][codes[:, j]]
-            ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            s = duck_round(s, round_to)
-            keep = np.ones((n, nq), dtype=bool)
-            if n > 2 * k:
-                kth = np.partition(s, n - 2 * k, axis=0)[n - 2 * k]
-                keep = s >= kth[None, :]
-            rows, qi = np.nonzero(keep)
-            return pa.table({
-                "query_id": pa.array(qids[qi]),
-                id_col: pa.array(ids[rows]),
-                "cosine": pa.array(s[rows, qi]),
-            })
-
-        cand = coded_ds.map_batches(scan, batch_format="pyarrow") \
-            .to_pandas()
-        cand = cand.sort_values(["query_id", "cosine", id_col],
-                                ascending=[True, False, True],
-                                kind="stable")
         return cand.groupby("query_id", sort=True).head(k) \
             .reset_index(drop=True)
 

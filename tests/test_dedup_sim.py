@@ -437,67 +437,3 @@ def test_crowded_buckets_checkpoint_path_identical():
     pd.testing.assert_frame_equal(c_dist, c_drv)
     pd.testing.assert_frame_equal(c_ck, c_drv)
     assert (c_drv["n"] >= 2).all() and len(c_drv) > 0
-
-
-def test_ann_pq_recall_and_determinism():
-    """ann_pq is the PQ recall table (m=32, ks=256 over the 64-dim
-    testdata): per-query floor 0.7, mean 0.8, fully deterministic —
-    the rows-only driver stance mirrors ann_ivf_recall."""
-    from ee_outliers_ray import pipelines as P
-
-    out = P.ann_pq("/root/testdata/sf0.001")
-    assert list(out.columns) == ["query_id", "k", "n_overlap",
-                                 "recall_at_k"]
-    assert len(out) == 5
-    assert (out["recall_at_k"] >= 0.7).all()
-    assert out["recall_at_k"].mean() >= 0.8
-    out2 = P.ann_pq("/root/testdata/sf0.001")
-    pd.testing.assert_frame_equal(out, out2)
-
-
-def test_pq_codes_and_adc_against_numpy():
-    """PqIndex mechanics against plain numpy on a small in-memory set:
-    (a) fit is deterministic; (b) the distributed encode matches the
-    per-row numpy argmin; (c) the ADC scan score equals the table-sum
-    recomputed by hand and ranks near the exact dot (reconstruction
-    sanity, dsub=2)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from ee_outliers_ray.similarity import PqIndex, _norm
-
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((400, 16))
-    ds = ray.data.from_arrow(pa.table({
-        "vec_id": pa.array(range(400), type=pa.int64()),
-        "embedding": pa.array([list(map(float, r)) for r in x]),
-    }))
-    idx = PqIndex(m=8, ks=32, seed=5).fit_dataset(ds, max_sample=400)
-    idx2 = PqIndex(m=8, ks=32, seed=5).fit_dataset(ds, max_sample=400)
-    assert np.array_equal(idx.codebooks, idx2.codebooks)
-    coded = idx.encode_column(ds).to_pandas().sort_values("vec_id")
-    codes = np.frombuffer(b"".join(coded["pq_code"]), dtype=np.uint8) \
-        .reshape(-1, 8)
-    xn = _norm(x.astype(np.float64))
-    books = idx.codebooks
-    for j in range(8):
-        xs = xn[:, j * 2:(j + 1) * 2]
-        want = np.argmin((books[j] ** 2).sum(1)[None, :]
-                         - 2.0 * (xs @ books[j].T), axis=1)
-        assert np.array_equal(codes[:, j], want)
-    # ADC scan == hand-computed table sums; ranking ~ exact
-    q = rng.standard_normal(16)
-    top = idx.adc_topk_multi(
-        idx.encode_column(ds).select_columns(["vec_id", "pq_code"]),
-        q[None, :], np.array([0]), k=10)
-    qn = q / np.linalg.norm(q)
-    recon = np.zeros(400)
-    for j in range(8):
-        recon += (books[j] @ qn[j * 2:(j + 1) * 2])[codes[:, j]]
-    hand = np.round(recon, 6)
-    got = dict(zip(top["vec_id"], top["cosine"]))
-    for vid, s in got.items():
-        assert abs(hand[vid] - s) < 1e-9
-    exact_top = set(np.argsort(-(xn @ qn))[:10].tolist())
-    assert len(set(got) & exact_top) >= 7  # dsub=2 reconstruction

@@ -193,224 +193,6 @@ def test_pack_sequences_semantics():
     assert out1["pack_id"].tolist()[:4] == [0, 0, 1, 2]
 
 
-def test_repetition_scores_semantics():
-    """Gopher-style repetition fractions on hand-computed docs, incl.
-    the edge cases the kernel masks (empty text, single token, all-
-    repeat doc)."""
-    import pyarrow as pa
-    import ray.data
-
-    from ee_outliers_ray.textstats import repetition_scores
-
-    docs = {
-        0: "the cat sat on the mat",  # n=6 nd=5 top=2; 5 distinct bigrams
-        1: "go go go go",             # n=4 nd=1 top=4; bigram (go,go)x3
-        2: "",                        # no tokens -> all 0.0
-        3: "hello",                   # one token -> no bigrams
-        4: "a b a b a",               # n=5 nd=2 top=3; top bigram 2/4
-    }
-    tbl = pa.table({"doc_id": pa.array(sorted(docs), type=pa.int64()),
-                    "text": pa.array([docs[k] for k in sorted(docs)])})
-    out = repetition_scores(ray.data.from_arrow(tbl)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    want = {
-        0: (round(1 / 6, 6), round(2 / 6, 6), 0.2),
-        1: (0.75, 1.0, 1.0),
-        2: (0.0, 0.0, 0.0),
-        3: (0.0, 1.0, 0.0),
-        4: (0.6, 0.6, 0.5),
-    }
-    for _, r in out.iterrows():
-        d, t, b = want[int(r["doc_id"])]
-        assert r["dup_token_frac"] == pytest.approx(d, abs=1e-9)
-        assert r["top_token_frac"] == pytest.approx(t, abs=1e-9)
-        assert r["top_bigram_frac"] == pytest.approx(b, abs=1e-9)
-
-
-def test_gopher_filter_gates():
-    """Each gate of the fused quality filter drops exactly the doc
-    built to violate it; the clean doc passes."""
-    import pyarrow as pa
-    import ray.data
-
-    from ee_outliers_ray.textstats import gopher_filter
-
-    uniq = " ".join(f"w{i}" for i in range(24))
-    docs = [
-        "too short",                      # n=2 < 20
-        " ".join(["go"] * 30),            # dup 29/30 > 0.6, top 1.0
-        uniq + " the",                    # 25 tokens, all gates pass
-        uniq + " w24",                    # no stopword -> ratio 0 < 0.01
-    ]
-    tbl = pa.table({"doc_id": pa.array(range(4), type=pa.int64()),
-                    "text": pa.array(docs)})
-    out = gopher_filter(ray.data.from_arrow(tbl)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out["keep"].tolist() == [0, 0, 1, 0]
-    assert out["n_tokens"].tolist() == [2, 30, 25, 25]
-
-
-def test_pii_scrub_semantics():
-    """Counts are measured on the ORIGINAL text; redaction is the
-    sequential EMAIL -> IP -> PHONE rewrite, so an IPv4 swallowed by an
-    earlier email replacement still counts but is not tagged."""
-    import pyarrow as pa
-    import ray.data
-
-    from ee_outliers_ray.textstats import pii_scrub
-
-    docs = [
-        "mail a@b.co or 1.2.3.4 call 555-123-4567",
-        # the email pattern consumes the dotted-quad domain first: the
-        # IPv4 count (on original text) is 1, but no <IP> tag survives
-        "ping x@1.2.3.4.com now",
-        "no pii here at all",
-        "two mails a@b.co c@d.org and 10.0.0.1",
-    ]
-    tbl = pa.table({"doc_id": pa.array(range(4), type=pa.int64()),
-                    "text": pa.array(docs)})
-    out = pii_scrub(ray.data.from_arrow(tbl)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out["n_emails"].tolist() == [1, 1, 0, 2]
-    assert out["n_ipv4"].tolist() == [1, 1, 0, 1]
-    assert out["n_phones"].tolist() == [1, 0, 0, 0]
-    assert out["redacted"].tolist() == [
-        "mail <EMAIL> or <IP> call <PHONE>",
-        "ping <EMAIL> now",
-        "no pii here at all",
-        "two mails <EMAIL> <EMAIL> and <IP>",
-    ]
-
-
-def test_decontaminate_semantics():
-    """Window matching is exact token-sequence containment; hits count
-    DISTINCT benchmark n-grams; short docs and empty bench are safe."""
-    import pyarrow as pa
-    import pytest
-    import ray.data
-
-    from ee_outliers_ray.textstats import decontaminate
-
-    g1 = "a b c"
-    g2 = "c d e"
-    docs = [
-        "x a b c d e y",     # contains g1 (pos 2) and g2 (pos 4) -> 2
-        "a b c a b c",       # g1 twice -> still 1 distinct hit
-        "a b",               # shorter than n -> cannot match
-        "b c a",             # tokens present, sequence absent -> 0
-        "",                  # empty
-    ]
-    tbl = pa.table({"doc_id": pa.array(range(5), type=pa.int64()),
-                    "text": pa.array(docs)})
-    ds = ray.data.from_arrow(tbl)
-    out = decontaminate(ds, [g1, g2], n=3).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out["n_bench_hits"].tolist() == [2, 1, 0, 0, 0]
-    assert out["contaminated"].tolist() == [1, 1, 0, 0, 0]
-
-    empty = decontaminate(ds, [], n=3).to_pandas()
-    assert empty["n_bench_hits"].sum() == 0
-
-    with pytest.raises(ValueError, match="exactly 3 tokens"):
-        decontaminate(ds, ["a b"], n=3)
-
-
-def test_resample_by_weight_semantics():
-    """floor(w) guaranteed copies + mix64-decided fractional copy;
-    w <= 0 drops; copy indices are 0..n-1; fully deterministic."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from ee_outliers_ray.hashing import mix64
-    from ee_outliers_ray.textstats import resample_by_weight
-
-    ids = np.arange(20, dtype=np.int64)
-    w = np.array([0.0, 1.0, 2.5, 0.5, -1.0] * 4)
-    tbl = pa.table({"doc_id": pa.array(ids), "w": pa.array(w)})
-    ds = ray.data.from_arrow(tbl)
-    out = resample_by_weight(ds, "w").to_pandas() \
-        .sort_values(["doc_id", "copy"]).reset_index(drop=True)
-
-    mx = mix64(ids.astype(np.uint64)).astype(np.float64)
-    fl = np.floor(np.maximum(w, 0.0))
-    frac = np.maximum(w, 0.0) - fl
-    n_want = (fl + (mx < frac * 2.0 ** 64)).astype(np.int64)
-
-    got_n = out.groupby("doc_id")["copy"].agg(["count", "min", "max"])
-    for d in ids:
-        n = int(n_want[d])
-        if n == 0:
-            assert d not in got_n.index
-        else:
-            assert got_n.loc[d, "count"] == n
-            assert got_n.loc[d, "min"] == 0
-            assert got_n.loc[d, "max"] == n - 1
-    # w=1.0 rows always emit exactly one copy; w=0 and w<0 never emit
-    assert all(n_want[ids % 5 == 1] == 1)
-    assert all(n_want[ids % 5 == 0] == 0) and all(n_want[ids % 5 == 4] == 0)
-    # at least one fractional accept and one reject across the w=2.5 rows
-    ns = n_want[ids % 5 == 2]
-    assert ns.min() == 2 and ns.max() == 3
-
-    again = resample_by_weight(ds, "w").to_pandas() \
-        .sort_values(["doc_id", "copy"]).reset_index(drop=True)
-    assert out.equals(again)
-
-
-def test_lm_perplexity_semantics():
-    """Bigram-LM nll matches a pure-Python add-alpha reference on a
-    hand-built corpus; pruning scores pruned bigrams as unseen; the
-    model-size gate raises."""
-    import math
-    from collections import Counter
-
-    import pyarrow as pa
-    import pytest
-    import ray.data
-
-    from ee_outliers_ray.functions import duck_round
-    from ee_outliers_ray.textstats import lm_perplexity
-
-    docs = ["the cat sat", "the cat ran", "cat", "", "the the the"]
-    tbl = pa.table({"doc_id": pa.array(range(5), type=pa.int64()),
-                    "text": pa.array(docs)})
-    ds = ray.data.from_arrow(tbl)
-
-    def ref_nll(alpha, prune=1):
-        toks = [d.split() for d in docs]
-        uc = Counter(t for ts in toks for t in ts)
-        bc = Counter((ts[i], ts[i + 1]) for ts in toks
-                     for i in range(len(ts) - 1))
-        bc = {k: v for k, v in bc.items() if v >= prune}
-        v = len(uc)
-        out = []
-        for ts in toks:
-            if len(ts) < 2:
-                out.append(0.0)
-                continue
-            s = sum(math.log((bc.get((ts[i], ts[i + 1]), 0) + alpha)
-                             / (uc[ts[i]] + alpha * v))
-                    for i in range(len(ts) - 1))
-            out.append(-s / (len(ts) - 1))
-        return [float(duck_round(x, 6)) for x in out]
-
-    got = lm_perplexity(ds, alpha=0.1).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert got["n_tokens"].tolist() == [3, 3, 1, 0, 3]
-    assert got["bigram_nll"].tolist() == ref_nll(0.1)
-
-    pruned = lm_perplexity(ds, alpha=0.1, prune_min_count=2).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert pruned["bigram_nll"].tolist() == ref_nll(0.1, prune=2)
-    # ('the','cat') survives (count 2); ('cat','sat') is pruned -> doc 0
-    # scores strictly worse pruned than unpruned
-    assert pruned["bigram_nll"][0] > got["bigram_nll"][0]
-
-    with pytest.raises(ValueError, match="max_model_rows"):
-        lm_perplexity(ds, max_model_rows=3)
-
-
 def test_hash_split_fractions_and_determinism():
     import numpy as np
 

@@ -1,14 +1,17 @@
 """textstats.ngram_counts vs an independent dict-based reference:
-windows never cross doc boundaries; n=1 equals word_counts; min_count
-prunes; the guard fires loudly."""
+windows never cross doc boundaries; n=1 equals a Counter over the
+tokenizer, in code-point order; min_count prunes; the guard fires
+loudly."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
-from ee_outliers_ray.textstats import ngram_counts, word_counts
+from ee_outliers_ray.textstats import ngram_counts
+from ee_outliers_ray.tokenizer import tokenize
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -52,13 +55,14 @@ def test_ngram_boundary_never_crosses(ray_session):
     assert dict(zip(w.tolist(), c.tolist())) == {"a b": 2}
 
 
-def test_ngram_unigram_equals_word_counts(ray_session):
+def test_ngram_unigram_equals_token_counter(ray_session):
     import ray.data
 
     ds = ray.data.from_arrow(pa.table({"text": TEXTS}))
     w1, c1 = ngram_counts(ds, n=1)
-    w2, c2 = word_counts(ds)
-    assert w1.tolist() == w2.tolist() and c1.tolist() == c2.tolist()
+    ref = sorted(Counter(t for x in TEXTS for t in tokenize(x)).items())
+    w2, c2 = [w for w, _ in ref], [c for _, c in ref]
+    assert w1.tolist() == w2 and c1.tolist() == c2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
