@@ -109,7 +109,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     the 50th entry out of external checking.  The session-local DuckDB
     parity check covers them like every other oracled tail entry.  A
     tail entry that does neither index nor term-statistics work has no
-    place here.  The first 50 keys are pinned by
+    place here; chunk_docs is the last such entry, kept for now with its
+    tests and oracle.  The first 50 keys are pinned by
     tests/test_oracle_parity.py.
 
     search_or (BM25 minimum_should_match, SQL-oracled, post-freeze)
@@ -200,6 +201,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "word2vec_outliers": P.word2vec_outliers,
         "embedding_dups": P.embedding_dups,
         # ---- tail: post-freeze r5 additions ----
+        # Fixed-size token chunking (training-context preparation; the
+        # splitting counterpart of packed_sequences) — post-freeze
+        # append.
+        "chunk_docs": P.chunk_docs,
         # Top-k word bigrams by corpus frequency (collocation /
         # contamination-screen stats; textstats.ngram_counts) —
         # post-freeze append, SQL-oracled.
@@ -388,8 +393,26 @@ def oracle_sql() -> dict[str, str]:
             JOIN sizes sa ON sa.doc_id = id_a
             JOIN sizes sb ON sb.doc_id = id_b
             WHERE inter::DOUBLE / (sa.n + sb.n - inter) >= 0.5"""
+    # fixed-size token chunking: DuckDB list slices are 1-based,
+    # end-inclusive and clamped, so chunk j (0-based) is
+    # toks[j*K+1 : (j+1)*K]
+    K = P.CHUNK_SIZE
+    chunk_sql = f"""
+            WITH t AS (SELECT doc_id, {TOK} AS toks FROM documents),
+            n AS (SELECT doc_id, toks, len(toks) AS n FROM t
+                  WHERE len(toks) > 0),
+            c AS (SELECT doc_id, toks, n,
+                         unnest(range(0, (n + {K - 1}) // {K})) AS chunk_id
+                  FROM n)
+            SELECT doc_id, chunk_id,
+                   least({K}, n - chunk_id * {K})::BIGINT AS n_chunk_tokens,
+                   array_to_string(toks[chunk_id * {K} + 1
+                                        : (chunk_id + 1) * {K}],
+                                   ' ') AS chunk_text
+            FROM c"""
     return {
         "dedup_ngram": jaccard_sql,
+        "chunk_docs": chunk_sql,
         "top_ngrams": f"""
             WITH tok AS (SELECT {TOK} AS l FROM documents),
             w AS (SELECT l, unnest(range(1, len(l))) AS i

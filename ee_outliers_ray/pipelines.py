@@ -952,6 +952,22 @@ def packed_sequences(sf_dir: str, max_tokens: int = 256,
     return pack_sequences(ds, max_tokens=max_tokens, range_size=range_size)
 
 
+# chunk size for chunk_docs, shared with the SQL oracle
+CHUNK_SIZE = 64
+
+
+def chunk_docs(sf_dir: str):
+    """Fixed-size token chunking over documents
+    (textstats.chunk_documents — the splitting counterpart of
+    pack_sequences for training-context preparation; shuffle-free,
+    deterministic under any parallelism)."""
+    from .textstats import chunk_documents
+
+    return chunk_documents(read(sf_dir, "documents",
+                                columns=["doc_id", "text"]),
+                           chunk_size=CHUNK_SIZE)
+
+
 def quality(sf_dir: str):
     from .textstats import quality_scores
 

@@ -1,6 +1,7 @@
 """Text analysis operators over a text column, on top of the tokenizer:
-language-id, quality scoring, token counting, sequence packing, corpus
-word-n-gram counts (``top_ngrams``) and document fingerprinting.
+language-id, quality scoring, token counting, sequence packing,
+fixed-size chunking, corpus word-n-gram counts (``top_ngrams``) and
+document fingerprinting.
 
 All kernels are batch-vectorized: token membership and lengths via
 pyarrow.compute, per-doc reductions via numpy reduceat, fingerprints via
@@ -183,6 +184,65 @@ def pack_sequences(ds, *, max_tokens: int = 256, range_size: int = 100,
 
     return ds.map_batches(counts, batch_format="pyarrow") \
         .groupby("grp").map_groups(pack, batch_format="pandas")
+
+
+def chunk_documents(ds, *, chunk_size: int = 64, min_tokens: int = 1,
+                    text_col: str = "text", id_col: str = "doc_id"):
+    """Fixed-size token chunking — the splitting counterpart of
+    ``pack_sequences`` for training-context preparation: every document
+    becomes ceil(n / chunk_size) contiguous chunks of ``chunk_size``
+    tokens (last chunk partial; dropped when shorter than
+    ``min_tokens``).  Fully vectorized: chunk boundaries are computed as
+    one offsets array over the batch's flat token values, so the chunk
+    ListArray shares the tokenized buffer (no per-chunk copies), and
+    the chunk text is one ``binary_join`` over it.  Embarrassingly
+    parallel — no shuffle, no state; chunk ids are per-document, so the
+    output is deterministic under any batching/parallelism.
+
+    Output: (doc_id, chunk_id, n_chunk_tokens, chunk_text) — chunk_text
+    is the space-joined token sequence (normalized text, matching the
+    SQL oracle's array_to_string over the same slice)."""
+
+    def f(b: pa.Table) -> pa.Table:
+        toks = tokenize_column(b[text_col])
+        off = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        lens = off[1:] - off[:-1]
+        nch = -(-lens // chunk_size)  # ceil; 0 for empty docs
+        total = int(off[-1]) if len(off) else 0
+        # one chunk-start per chunk: doc start + j*chunk_size
+        doc_start = np.repeat(off[:-1], nch)
+        within = _ranges_from_counts(nch)
+        starts = doc_start + within * chunk_size
+        # flatten() rebases a sliced list array's values — rebase the
+        # absolute bounds the same way (off[0] is 0 for fresh arrays)
+        bounds = np.append(starts, total) - (int(off[0]) if len(off) else 0)
+        flat = toks.flatten()
+        chunks = pa.ListArray.from_arrays(
+            pa.array(bounds, type=pa.int32()), flat)
+        doc_end = np.repeat(off[1:], nch)
+        clen = np.minimum(starts + chunk_size, doc_end) - starts
+        ids = b[id_col].to_numpy(zero_copy_only=False)
+        out = pa.table({
+            id_col: pa.array(np.repeat(ids, nch)),
+            "chunk_id": pa.array(within),
+            "n_chunk_tokens": pa.array(clen),
+            "chunk_text": pc.binary_join(chunks, " "),
+        })
+        if min_tokens > 1:
+            out = out.filter(pa.array(clen >= min_tokens))
+        return out
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _ranges_from_counts(counts: np.ndarray) -> np.ndarray:
+    """[0..c0-1, 0..c1-1, ...] for int counts — vectorized."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    idx = np.arange(total, dtype=np.int64)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return idx - starts
 
 
 def _gram_partial(toks, n: int, use_int_keys: bool | None = None

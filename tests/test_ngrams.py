@@ -55,7 +55,7 @@ def test_ngram_boundary_never_crosses(ray_session):
     assert dict(zip(w.tolist(), c.tolist())) == {"a b": 2}
 
 
-def test_ngram_unigram_equals_token_counter(ray_session):
+def test_ngram_unigram_equals_word_counts(ray_session):
     import ray.data
 
     ds = ray.data.from_arrow(pa.table({"text": TEXTS}))

@@ -80,8 +80,8 @@ def test_rows_only_set_is_declared():
         "word2vec_outliers", "embedding_dups"}
 
 
-# The driver checks the first 50 queries() keys externally; their order
-# is frozen, so a deletion or insert ahead of the tail must not move one.
+# The first 50 queries() keys are the frozen, externally checked window;
+# a deletion or insert ahead of the tail must not move one.
 FROZEN_WINDOW = [
     "token_counts", "term_df", "index_append_term_df", "rare_term_docs",
     "top_terms", "bm25_topk", "bm25_topk_deletes", "search_and",
